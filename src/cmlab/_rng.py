@@ -4,7 +4,14 @@ Every Monte Carlo operation splits its sample budget into ``N_CHUNKS`` fixed
 chunks with child seeds derived from the user seed via
 ``numpy.random.SeedSequence.spawn``.  The chunk layout never depends on the
 worker count, so results are bit-identical whether chunks run sequentially
-or on a thread pool; ``CMLAB_THREADS`` only caps the pool size.
+or on a thread pool.
+
+``map_chunks`` runs whole per-chunk computations, on a thread pool of at
+most ``CMLAB_THREADS`` workers; the Monte Carlo evaluators
+(``consistency_loss``, ``evaluation_error``) and ``sample_marginal`` use it.
+The multistep sampler only takes the chunk generators from ``chunk_rngs``
+and makes one batched consistency-function call per stage, so
+``CMLAB_THREADS`` does not affect it.
 """
 
 from __future__ import annotations
@@ -79,18 +86,42 @@ class MonteCarloEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
+def chunk_moments(values) -> tuple[float, float, int]:
+    """The ``(sum, M2, count)`` triple of one chunk's values.
+
+    ``M2`` is the sum of squared deviations from the chunk's own mean.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return 0.0, 0.0, 0
+    dev = values - values.mean()
+    return float(values.sum()), float(dev @ dev), int(values.size)
+
+
 def merge_moments(parts) -> MonteCarloEstimate:
-    """Combine per-chunk ``(sum, sum_of_squares, count)`` triples."""
-    s1 = 0.0
-    s2 = 0.0
+    """Combine per-chunk ``(sum, M2, count)`` triples (see :func:`chunk_moments`).
+
+    The value is the plain ``sum / n``.  The squared deviations merge by
+    Chan's parallel formula, ``M2 = M2_a + M2_b + (mean_b - mean_a)^2
+    m_a m_b / (m_a + m_b)``, which never subtracts two large second moments,
+    so the standard error keeps its precision when the mean dwarfs the
+    spread.
+    """
+    total = 0.0
     n = 0
-    for a, b, m in parts:
-        s1 += float(a)
-        s2 += float(b)
-        n += int(m)
+    mean = 0.0
+    m2 = 0.0
+    for s, chunk_m2, m in parts:
+        m = int(m)
+        if m == 0:
+            continue
+        total += float(s)
+        delta = float(s) / m - mean
+        merged = n + m
+        mean += delta * m / merged
+        m2 += float(chunk_m2) + delta * delta * n * m / merged
+        n = merged
     if n < 1:
         raise ValueError("no samples to merge")
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    stderr = float(np.sqrt(var / n))
-    return MonteCarloEstimate(value=mean, stderr=stderr, n=n)
+    stderr = float(np.sqrt(m2 / n / n))
+    return MonteCarloEstimate(value=total / n, stderr=stderr, n=n)

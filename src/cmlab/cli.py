@@ -13,8 +13,10 @@ Three subcommands:
 * ``cmlab bounds --config FILE`` — bound tables only; no sampling, no RNG.
 
 Exit codes: 0 success, 2 config error, 3 numeric/precondition error.
-The env var ``CMLAB_THREADS`` caps Monte Carlo worker threads; it never
-changes results, only how chunks are scheduled.
+The env var ``CMLAB_THREADS`` caps the worker threads of the Monte Carlo
+evaluators, which here means the measured ``eps/delta`` of ``experiment``;
+the sampler and the W2 coupling run in one thread.  It never changes
+results, only how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .bounds import (
 )
 from .consistency_oracle import evaluation_error, gaussian_affine_map, quantile_perturbed
 from .errors import CmlabError, ConfigError, NumericError
-from .metrics import tv_grid, w2_stderr_proxy, w2_vs_target_1d
+from .metrics import (  # noqa: F401  (bench/spans.py wraps the W2 names)
+    _coupling_w2,
+    coupling_quantiles,
+    tv_grid,
+    w2_stderr_proxy,
+    w2_vs_target_1d,
+)
 from .noise_schedule import make_ou
 from .sampler import (
     SamplingTimeSchedule,
@@ -140,17 +148,20 @@ def _stage_rows(
     target,
     schedule,
     eps_over_delta: float,
+    quantiles: np.ndarray,
     tv_info=None,
 ) -> list[ResultRow]:
-    """Empirical W2 per stage plus bound values for the truncated schedules."""
+    """Empirical W2 per stage plus bound values for the truncated schedules.
+
+    ``quantiles`` are the run's :func:`~cmlab.metrics.coupling_quantiles`,
+    shared by every stage.
+    """
     geo = geometry(target)
     rows = []
     taus = record.taus
     for i in range(1, taus.n_steps + 1):
         tau_i = taus.taus[i - 1]
-        stage_samples = record.denoised[i - 1]
-        w2 = w2_vs_target_1d(stage_samples, target)
-        proxy = w2_stderr_proxy(stage_samples, target)
+        w2, proxy = _coupling_w2(record.denoised[i - 1], quantiles)
         inputs = BoundInputs(
             schedule=schedule,
             taus=taus.truncated(i),
@@ -218,11 +229,12 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
         ("halving", design_halving_ve(14.0, delta)),
     ]
     children = np.random.SeedSequence(seed).spawn(len(designs))
+    quantiles = coupling_quantiles(target, n)
     all_rows: list[ResultRow] = []
     for (label, taus), child in zip(designs, children):
         record = multistep_sample(estimator, schedule, taus, n, child)
         all_rows.extend(
-            _stage_rows(label, record, target, schedule, eps_over_delta)
+            _stage_rows(label, record, target, schedule, eps_over_delta, quantiles)
         )
     write_rows_csv(out, all_rows)
 
@@ -251,6 +263,17 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
     return 0
 
 
+def _resolve_sigma_eps(cfg: ExperimentConfig, eps_over_delta: float,
+                       smoothness: float) -> float:
+    """The smoothing level: the configured value, or the TV-optimal one."""
+    if cfg.smoothing == "optimal":
+        return sigma_eps_optimal(
+            cfg.taus.taus[-1], eps_over_delta * cfg.delta, cfg.delta,
+            cfg.target.dim, smoothness,
+        )
+    return float(cfg.smoothing)
+
+
 def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
     """Closed-form TV machinery for single-Gaussian targets + exact estimator.
 
@@ -277,14 +300,7 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
     geo = geometry(cfg.target)
     if geo.log_smoothness is None:
         raise NumericError("L: the TV bound requires the target smoothness L")
-    smoothness = geo.log_smoothness
-    if cfg.smoothing == "optimal":
-        sigma_eps = sigma_eps_optimal(
-            cfg.taus.taus[-1], eps_over_delta * cfg.delta, cfg.delta,
-            cfg.target.dim, smoothness,
-        )
-    else:
-        sigma_eps = float(cfg.smoothing)
+    sigma_eps = _resolve_sigma_eps(cfg, eps_over_delta, geo.log_smoothness)
     m0 = float(cfg.target.means[0, 0])
     v0 = float(cfg.target.variances[0])
 
@@ -321,11 +337,13 @@ def cmd_experiment(config_path: str) -> int:
     else:
         eps_over_delta = float(cfg.eps_over_delta)
     tv_info = _analytic_tv_info(cfg, eps_over_delta)
+    quantiles = coupling_quantiles(cfg.target, cfg.n)
     record = multistep_sample(
         cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed, dim=cfg.target.dim
     )
     rows = _stage_rows(
-        cfg.label, record, cfg.target, cfg.schedule, eps_over_delta, tv_info
+        cfg.label, record, cfg.target, cfg.schedule, eps_over_delta, quantiles,
+        tv_info,
     )
     write_rows_csv(cfg.out, rows)
     print(f"{cfg.label}: taus = {list(cfg.taus.taus)}, n = {cfg.n}, seed = {cfg.seed}")
@@ -358,13 +376,7 @@ def cmd_bounds(config_path: str) -> int:
             raise NumericError(
                 "metrics.tv: the TV bound needs sampling.smoothing_sigma"
             )
-        if cfg.smoothing == "optimal":
-            sigma_eps = sigma_eps_optimal(
-                cfg.taus.taus[-1], eps_over_delta * cfg.delta, cfg.delta,
-                cfg.target.dim, geo.log_smoothness,
-            )
-        else:
-            sigma_eps = float(cfg.smoothing)
+        sigma_eps = _resolve_sigma_eps(cfg, eps_over_delta, geo.log_smoothness)
     header = (
         f"{'stage':>5} {'tau':>10} {'w2_general':>12} {'w2_modified':>12} "
         f"{'kl_bound':>11}"

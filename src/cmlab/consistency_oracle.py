@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import MonteCarloEstimate, map_chunks, merge_moments
+from ._rng import MonteCarloEstimate, chunk_moments, map_chunks, merge_moments
 from .errors import NumericError
 from .noise_schedule import NoiseSchedule, TrainingPartition, drift_diffusion
 from .target_dist import (
@@ -420,8 +420,7 @@ def consistency_loss(
         here = fhat(x, t_i)
         moved = pf_ode_transport(target, schedule, x, t_i, t_next, cfg)
         there = fhat(moved, t_next)
-        sq = np.sum((here - there) ** 2, axis=1)
-        return float(sq.sum()), float((sq * sq).sum()), m
+        return chunk_moments(np.sum((here - there) ** 2, axis=1))
 
     return merge_moments(map_chunks(chunk, n, seed))
 
@@ -441,7 +440,6 @@ def evaluation_error(
         if m == 0:
             return 0.0, 0.0, 0
         x = _sample_mixture(rng, means, variances, weights, m)
-        sq = np.sum((fhat(x, t) - f_ref(x, t)) ** 2, axis=1)
-        return float(sq.sum()), float((sq * sq).sum()), m
+        return chunk_moments(np.sum((fhat(x, t) - f_ref(x, t)) ** 2, axis=1))
 
     return merge_moments(map_chunks(chunk, n, seed))

@@ -8,10 +8,10 @@ coupling and stays oracle-checkable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import NumericError
 from .target_dist import Target, target_quantiles_1d
@@ -19,6 +19,7 @@ from .target_dist import Target, target_quantiles_1d
 __all__ = [
     "GridIntegral",
     "w2_empirical_1d",
+    "coupling_quantiles",
     "w2_vs_target_1d",
     "w2_stderr_proxy",
     "tv_grid",
@@ -55,6 +56,57 @@ def w2_empirical_1d(a, b) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def coupling_quantiles(target: Target, n: int) -> np.ndarray:
+    """Target quantiles at the coupling levels ``(k - 1/2) / n``, k = 1..n.
+
+    They depend only on the target and ``n``, so a run that measures many
+    stages of the same size solves them once and passes them to every
+    stage.
+    """
+    if n < 1:
+        raise NumericError("need at least one sample")
+    u = (np.arange(1, n + 1) - 0.5) / n
+    return target_quantiles_1d(target, u)
+
+
+def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
+    """W2 against the target and its stderr proxy, from one sort.
+
+    ``quantiles`` come from :func:`coupling_quantiles` for ``samples.size``.
+    The first and last of them are the target quantiles at ``1/(2n)`` and
+    ``1 - 1/(2n)``, the spread the proxy needs for one-valued samples.
+    """
+    s = np.sort(_flat_1d(samples, "samples"))
+    n = s.size
+    if n == 0:
+        raise NumericError("need at least one sample")
+    if quantiles.shape != (n,):
+        raise NumericError(
+            f"{quantiles.shape} coupling quantiles for {n} samples"
+        )
+    diff = s - quantiles
+    sq = diff * diff
+    w2_sq = float(np.mean(sq))
+    w2 = math.sqrt(w2_sq)
+    n_distinct = 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+    if n_distinct <= 2:
+        if n_distinct == 2:
+            p_hat = np.count_nonzero(s == s[-1]) / n
+            gap_sq = float((s[-1] - s[0]) ** 2)
+        else:
+            p_hat, gap_sq = 0.0, float((quantiles[-1] - quantiles[0]) ** 2)
+        # 1/n floor keeps the proxy nonzero when p_hat lands on 0 or 1
+        spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
+        se_sq = gap_sq * float(np.sqrt(spread / n))
+    else:
+        se_sq = float(np.std(sq) / np.sqrt(n))
+    if se_sq <= 0:
+        return w2, 0.0
+    # below the resolution scale sqrt(se_sq) the delta method blows up;
+    # there W2 itself fluctuates at that scale, so clamp the denominator
+    return w2, 0.5 * se_sq / max(np.sqrt(w2_sq), np.sqrt(se_sq))
+
+
 def w2_vs_target_1d(samples, target: Target) -> float:
     """W2 between an empirical measure and an analytic 1-D target.
 
@@ -63,13 +115,7 @@ def w2_vs_target_1d(samples, target: Target) -> float:
     quantile discretization.
     """
     samples = _flat_1d(samples, "samples")
-    n = samples.size
-    if n == 0:
-        raise NumericError("need at least one sample")
-    u = (np.arange(1, n + 1) - 0.5) / n
-    q = target_quantiles_1d(target, u)
-    diff = np.sort(samples) - q
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _coupling_w2(samples, coupling_quantiles(target, samples.size))[0]
 
 
 def w2_stderr_proxy(samples, target: Target) -> float:
@@ -83,29 +129,7 @@ def w2_stderr_proxy(samples, target: Target) -> float:
     displacements are treated as i.i.d. terms.  A proxy, not a guarantee.
     """
     samples = _flat_1d(samples, "samples")
-    n = samples.size
-    u = (np.arange(1, n + 1) - 0.5) / n
-    q = target_quantiles_1d(target, u)
-    sq = (np.sort(samples) - q) ** 2
-    w2_sq = float(np.mean(sq))
-    values = np.unique(samples)
-    if values.size <= 2:
-        if values.size == 2:
-            p_hat = float(np.mean(samples == values[-1]))
-            gap_sq = float((values[-1] - values[0]) ** 2)
-        else:
-            p_hat, gap_sq = 0.0, float(np.ptp(target_quantiles_1d(
-                target, np.array([0.5 / n, 1 - 0.5 / n]))) ** 2)
-        # 1/n floor keeps the proxy nonzero when p_hat lands on 0 or 1
-        spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
-        se_sq = gap_sq * float(np.sqrt(spread / n))
-    else:
-        se_sq = float(np.std(sq) / np.sqrt(n))
-    if se_sq <= 0:
-        return 0.0
-    # below the resolution scale sqrt(se_sq) the delta method blows up;
-    # there W2 itself fluctuates at that scale, so clamp the denominator
-    return 0.5 * se_sq / max(np.sqrt(w2_sq), np.sqrt(se_sq))
+    return _coupling_w2(samples, coupling_quantiles(target, samples.size))[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +165,8 @@ def tv_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridInte
     Both densities must effectively live inside ``[lo, hi]``: a truncation
     mass above 1e-3 on either side raises :class:`NumericError`.
     """
+    from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
+
     x = _grid(lo, hi, n_grid)
     pa = np.asarray(pdf_a(x), dtype=float)
     pb = np.asarray(pdf_b(x), dtype=float)
@@ -159,6 +185,8 @@ def kl_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridInte
     (otherwise the divergence is effectively infinite on the grid and a
     :class:`NumericError` is raised).  ``0 log 0`` is treated as 0.
     """
+    from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
+
     x = _grid(lo, hi, n_grid)
     pa = np.asarray(pdf_a(x), dtype=float)
     pb = np.asarray(pdf_b(x), dtype=float)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NumericError
 
@@ -152,6 +151,8 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
         raise ValueError("alpha must be positive everywhere")
     if np.any(np.diff(s2) < 0):
         raise ValueError("sigma2 must be nondecreasing")
+    from scipy.interpolate import PchipInterpolator
+
     alpha_i = PchipInterpolator(t, a, extrapolate=True)
     sigma2_i = PchipInterpolator(t, s2, extrapolate=True)
     return NoiseSchedule(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import map_chunks
+from ._rng import chunk_rngs, chunk_sizes
 from .consistency_oracle import ConsistencyFn
 from .errors import NumericError
 from .noise_schedule import NoiseSchedule
@@ -116,31 +116,29 @@ def multistep_sample(
 ) -> TrajectoryRecord:
     """Run multistep consistency sampling, keeping every stage.
 
-    Deterministic for a given seed and independent of the worker count
-    (fixed chunking with derived sub-seeds; ``CMLAB_THREADS`` only changes
-    how chunks are executed).
+    The ``n`` rows are split into the fixed chunks of ``_rng`` and each
+    chunk draws its noise from its own child generator, stage after stage,
+    into its slice of the preallocated ``(N, n, d)`` arrays.  Every stage
+    then makes one consistency-function call on all ``n`` rows.  The
+    result is deterministic for a given seed; the sampler starts no
+    threads, so ``CMLAB_THREADS`` does not affect it.
     """
     if n < 1:
         raise NumericError(f"n must be >= 1, got {n}")
     ts = taus.taus
-    alphas = [float(schedule.alpha(t)) for t in ts]
-    sigmas = [math.sqrt(float(schedule.sigma2(t))) for t in ts]
-
-    def chunk(rng, m, _ci):
-        noisy = np.empty((len(ts), m, dim))
-        denoised = np.empty((len(ts), m, dim))
-        x = sigmas[0] * rng.standard_normal((m, dim))
-        for i, t in enumerate(ts):
-            if i > 0:
-                x = alphas[i] * x0 + sigmas[i] * rng.standard_normal((m, dim))
-            noisy[i] = x
-            x0 = fhat(x, t)
-            denoised[i] = x0
-        return noisy, denoised
-
-    parts = map_chunks(chunk, n, seed)
-    noisy = np.concatenate([p[0] for p in parts], axis=1)
-    denoised = np.concatenate([p[1] for p in parts], axis=1)
+    rngs = chunk_rngs(seed)
+    edges = np.cumsum([0] + chunk_sizes(n))
+    slices = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    noisy = np.empty((len(ts), n, dim))
+    denoised = np.empty((len(ts), n, dim))
+    for i, t in enumerate(ts):
+        x = noisy[i]
+        for rng, rows in zip(rngs, slices):
+            rng.standard_normal(out=x[rows])
+        x *= math.sqrt(float(schedule.sigma2(t)))
+        if i > 0:
+            x += float(schedule.alpha(t)) * denoised[i - 1]
+        denoised[i] = fhat(x, t)
     return TrajectoryRecord(taus=taus, noisy=noisy, denoised=denoised, seed=seed)
 
 

@@ -245,7 +245,14 @@ def _mixture_score(pts: np.ndarray, mixture, cap: float | None = None):
             "marginal density underflow while evaluating the score; "
             "clamp x or increase t"
         )
-    return np.einsum("kn,knd->nd", (e / s) / variances[:, None], pull)
+    # Sum the components in a fixed order with elementwise adds, so a row's
+    # score does not depend on how many rows share the call (einsum takes a
+    # differently ordered kernel when n == 1).
+    terms = ((e / s) / variances[:, None])[:, :, None] * pull
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out
 
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:

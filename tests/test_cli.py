@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from cmlab import NumericError
+import cmlab.cli as cli
+import cmlab.metrics as metrics
+from cmlab import DiscreteTarget, NumericError, w2_stderr_proxy, w2_vs_target_1d
+from cmlab._config import load_experiment_config
 from cmlab.cli import ResultRow, _fmt, main, write_rows_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -159,3 +162,59 @@ def test_write_rows_rejects_partial_tv(tmp_path):
     rows = [ResultRow(**row, tv=0.1, tv_bound=0.2), ResultRow(**row)]
     with pytest.raises(NumericError):
         write_rows_csv(str(tmp_path / "x.csv"), rows)
+
+
+def _small_gaussian_tv_config(tmp_path, n=3000):
+    cfg = json.loads((CONFIG_DIR / "gaussian_tv.json").read_text())
+    cfg["sampling"]["n"] = n
+    cfg["out"] = str(tmp_path / "g.csv")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["reproduce-sim", "experiment"])
+def test_one_coupling_solve_per_run(tmp_path, monkeypatch, command):
+    levels = []
+    solve = metrics.target_quantiles_1d
+
+    def counted(target, u):
+        levels.append(len(u))
+        return solve(target, u)
+
+    monkeypatch.setattr(metrics, "target_quantiles_1d", counted)
+    if command == "reproduce-sim":
+        run_sim(tmp_path, "q.csv", n=2000)
+        assert levels == [2000]  # 11 stages over three schedules
+    else:
+        assert main(["experiment", "--config", str(_small_gaussian_tv_config(tmp_path))]) == 0
+        assert levels == [3000]
+
+
+@pytest.mark.parametrize("command", ["reproduce-sim", "experiment"])
+def test_stage_rows_match_public_w2(tmp_path, monkeypatch, command):
+    records, rows = [], []
+    sample, write = cli.multistep_sample, cli.write_rows_csv
+
+    def keep_record(*args, **kwargs):
+        records.append(sample(*args, **kwargs))
+        return records[-1]
+
+    def keep_rows(path, result_rows):
+        rows.extend(result_rows)
+        return write(path, result_rows)
+
+    monkeypatch.setattr(cli, "multistep_sample", keep_record)
+    monkeypatch.setattr(cli, "write_rows_csv", keep_rows)
+    if command == "reproduce-sim":
+        run_sim(tmp_path, "w.csv", n=1500)
+        target = DiscreteTarget([[0.0], [100.0]], [0.5, 0.5])
+    else:
+        path = _small_gaussian_tv_config(tmp_path)
+        assert main(["experiment", "--config", str(path)]) == 0
+        target = load_experiment_config(str(path)).target
+    stages = [stage for rec in records for stage in rec.denoised]
+    assert len(stages) == len(rows) == (11 if command == "reproduce-sim" else 2)
+    for stage, row in zip(stages, rows):
+        assert row.w2 == w2_vs_target_1d(stage, target)
+        assert row.w2_stderr_proxy == w2_stderr_proxy(stage, target)

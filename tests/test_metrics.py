@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cmlab import (
     DiscreteTarget,
+    GaussianMixtureTarget,
     NumericError,
     kl_grid,
     tv_discrete_1d,
@@ -17,6 +18,8 @@ from cmlab import (
     w2_stderr_proxy,
     w2_vs_target_1d,
 )
+from cmlab.metrics import _coupling_w2, coupling_quantiles
+from cmlab.target_dist import target_quantiles_1d
 
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
 
@@ -113,6 +116,66 @@ def test_w2_stderr_proxy_behaviour():
     # an exactly balanced two-valued sample still reports a positive proxy
     exact = np.repeat([0.0, 100.0], 500)
     assert w2_stderr_proxy(exact, TWO_ATOM) > 0
+
+
+def _separate_solves(samples, target):
+    """W2 and its stderr proxy as two independent computations, each with its
+    own sort, its own quantile solve and ``np.unique``."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    n = samples.size
+    u = (np.arange(1, n + 1) - 0.5) / n
+    diff = np.sort(samples) - target_quantiles_1d(target, u)
+    w2 = float(np.sqrt(np.mean(diff * diff)))
+    sq = (np.sort(samples) - target_quantiles_1d(target, u)) ** 2
+    w2_sq = float(np.mean(sq))
+    values = np.unique(samples)
+    if values.size <= 2:
+        if values.size == 2:
+            p_hat = float(np.mean(samples == values[-1]))
+            gap_sq = float((values[-1] - values[0]) ** 2)
+        else:
+            p_hat, gap_sq = 0.0, float(np.ptp(target_quantiles_1d(
+                target, np.array([0.5 / n, 1 - 0.5 / n]))) ** 2)
+        spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
+        se_sq = gap_sq * float(np.sqrt(spread / n))
+    else:
+        se_sq = float(np.std(sq) / np.sqrt(n))
+    if se_sq <= 0:
+        return w2, 0.0
+    return w2, 0.5 * se_sq / max(np.sqrt(w2_sq), np.sqrt(se_sq))
+
+
+_GAUSS = GaussianMixtureTarget([[2.0]], [0.5], [1.0])
+_GMM3 = GaussianMixtureTarget([[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2])
+_draw = np.random.default_rng(12)
+_COUPLING_CASES = {
+    "two_valued": (_draw.choice([0.0, 100.0], size=5001), TWO_ATOM),
+    "one_valued_atom": (np.full(777, 100.0), TWO_ATOM),
+    "one_valued_gmm": (np.full(1001, 0.25), _GMM3),
+    "many_valued_atom": (_draw.normal(50.0, 30.0, size=2048), TWO_ATOM),
+    "gauss": (_draw.normal(2.1, 0.7, size=3000), _GAUSS),
+    "gmm": (_draw.normal(0.0, 3.0, size=(4097, 1)), _GMM3),
+    "single": (np.array([1.5]), _GMM3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUPLING_CASES))
+def test_shared_coupling_matches_separate_solves(case):
+    samples, target = _COUPLING_CASES[case]
+    want = _separate_solves(samples, target)
+    q = coupling_quantiles(target, np.size(samples))
+    assert _coupling_w2(samples, q) == want
+    assert w2_vs_target_1d(samples, target) == want[0]
+    assert w2_stderr_proxy(samples, target) == want[1]
+
+
+def test_coupling_quantiles_checks_sizes():
+    with pytest.raises(NumericError):
+        coupling_quantiles(TWO_ATOM, 0)
+    with pytest.raises(NumericError):
+        _coupling_w2(np.zeros(10), coupling_quantiles(TWO_ATOM, 11))
+    with pytest.raises(NumericError):
+        _coupling_w2(np.zeros(0), coupling_quantiles(TWO_ATOM, 1))
 
 
 # ---------------------------------------------------------------------------
