@@ -121,9 +121,7 @@ def build_estimator(
     kind = node.get("estimator")
     try:
         if kind == "exact":
-            if isinstance(target, DiscreteTarget):
-                return exact_two_point(target, schedule)
-            return exact_single_gaussian(target, schedule)
+            return exact_reference(target, schedule)
         if kind == "pfode":
             step = _get_number(node, "ode_step", path, default=1e-3)
             floor = _get_number(node, "ode_floor", path, default=1e-6)

@@ -24,8 +24,8 @@ All consistency functions return their input unchanged at ``t = 0``
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -348,24 +348,16 @@ def quantile_perturbed(
     if not kappa > 0:
         raise NumericError(f"kappa must be > 0, got {kappa!r}")
     lo, hi = _two_point_atoms(target)
-    cache: dict[float, float] = {}
-    lock = threading.Lock()
 
+    @functools.cache
     def boundary(t: float) -> float:
-        with lock:
-            hit = cache.get(t)
-        if hit is not None:
-            return hit
         u = 0.5 + kappa * t * t
         if u >= 1.0:
             raise NumericError(
                 f"quantile level 0.5 + kappa*t^2 = {u} is out of range; "
                 "reduce kappa or the time horizon"
             )
-        value = marginal_quantile_1d(MarginalView(target, schedule, t), u)
-        with lock:
-            cache[t] = value
-        return value
+        return marginal_quantile_1d(MarginalView(target, schedule, t), u)
 
     def fn(x, t):
         a_t = boundary(t)

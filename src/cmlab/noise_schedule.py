@@ -19,15 +19,15 @@ Two closed-form schedules are built in:
   (a variance-exploding process).
 
 Custom schedules are supplied as tabulated ``(t, alpha, sigma2)`` columns and
-interpolated with a monotone cubic; their SDE coefficients come from central
-finite differences.
+interpolated with a monotone cubic; their SDE coefficients come from the
+exact derivative of that cubic.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,6 +55,9 @@ class NoiseSchedule:
     alpha, sigma2 : callable
         Vectorized functions of time. ``alpha`` must stay positive and
         ``sigma2`` nondecreasing with ``alpha(0) = 1``, ``sigma2(0) = 0``.
+    drift : callable
+        Vectorized ``t -> (h(t), g2(t))``, the SDE coefficients of
+        ``(alpha, sigma2)`` in closed form.
     kind : str
         One of ``"ou"``, ``"ve"``, ``"custom"``.
     t_max : float or None
@@ -64,11 +67,9 @@ class NoiseSchedule:
 
     alpha: Callable
     sigma2: Callable
+    drift: Callable
     kind: str
     t_max: float | None = None
-    # Closed-form (h, g2) for the built-in kinds; None selects finite
-    # differences.
-    _closed_drift: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("ou", "ve", "custom"):
@@ -106,11 +107,11 @@ def make_ou() -> NoiseSchedule:
         # -expm1 keeps full precision for small t where 1 - exp(-2t) cancels.
         return -np.expm1(-2.0 * np.asarray(t, dtype=float))
 
-    def closed_drift(t):
+    def drift(t):
         t = np.asarray(t, dtype=float)
         return -np.ones_like(t), 2.0 * np.ones_like(t)
 
-    return NoiseSchedule(alpha, sigma2, kind="ou", _closed_drift=closed_drift)
+    return NoiseSchedule(alpha, sigma2, drift, kind="ou")
 
 
 def make_ve() -> NoiseSchedule:
@@ -123,18 +124,20 @@ def make_ve() -> NoiseSchedule:
         t = np.asarray(t, dtype=float)
         return t * t
 
-    def closed_drift(t):
+    def drift(t):
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t), 2.0 * t
 
-    return NoiseSchedule(alpha, sigma2, kind="ve", _closed_drift=closed_drift)
+    return NoiseSchedule(alpha, sigma2, drift, kind="ve")
 
 
 def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
     """Schedule from tabulated values, interpolated with a monotone cubic.
 
     The table must start at ``t = 0`` with ``alpha = 1`` and ``sigma2 = 0``,
-    keep ``alpha`` positive, and keep ``sigma2`` nondecreasing.
+    keep ``alpha`` positive, and keep ``sigma2`` nondecreasing.  The drift
+    ``h = alpha'/alpha``, ``g2 = sigma2' - 2 h sigma2`` uses the exact
+    derivatives of the two interpolants.
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha_values, dtype=float)
@@ -155,12 +158,14 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
 
     alpha_i = PchipInterpolator(t, a, extrapolate=True)
     sigma2_i = PchipInterpolator(t, s2, extrapolate=True)
-    return NoiseSchedule(
-        lambda x: alpha_i(np.asarray(x, dtype=float)),
-        lambda x: sigma2_i(np.asarray(x, dtype=float)),
-        kind="custom",
-        t_max=float(t[-1]),
-    )
+    dalpha_i = alpha_i.derivative()
+    dsigma2_i = sigma2_i.derivative()
+
+    def drift(x):
+        h = dalpha_i(x) / alpha_i(x)
+        return h, dsigma2_i(x) - 2.0 * h * sigma2_i(x)
+
+    return NoiseSchedule(alpha_i, sigma2_i, drift, kind="custom", t_max=float(t[-1]))
 
 
 def custom_from_csv(path) -> NoiseSchedule:
@@ -185,27 +190,10 @@ def custom_from_csv(path) -> NoiseSchedule:
 
 
 def drift_diffusion(schedule: NoiseSchedule, t):
-    """SDE coefficients ``(h(t), g2(t))`` of the schedule.
-
-    Built-in kinds use their closed forms; custom schedules use central
-    finite differences with step ``min(1e-6, t/2)`` (which requires t > 0).
-    """
-    t = schedule.check_time(t)
-    if schedule._closed_drift is not None:
-        return schedule._closed_drift(t)
-    if np.any(t <= 0):
-        raise NumericError(
-            "finite-difference drift of a custom schedule needs t > 0"
-        )
-    step = np.minimum(1e-6, t / 2.0)
-    a_plus = np.asarray(schedule.alpha(t + step), dtype=float)
-    a_minus = np.asarray(schedule.alpha(t - step), dtype=float)
-    h = (np.log(a_plus) - np.log(a_minus)) / (2.0 * step)
-    s2_plus = np.asarray(schedule.sigma2(t + step), dtype=float)
-    s2_minus = np.asarray(schedule.sigma2(t - step), dtype=float)
-    ds2 = (s2_plus - s2_minus) / (2.0 * step)
-    g2 = ds2 - 2.0 * h * np.asarray(schedule.sigma2(t), dtype=float)
-    return h, g2
+    """SDE coefficients ``(h(t), g2(t))`` of the schedule, in closed form
+    for every kind (custom schedules differentiate their interpolants
+    exactly), on the whole time domain including ``t = 0``."""
+    return schedule.drift(schedule.check_time(t))
 
 
 def contraction(schedule: NoiseSchedule, t):

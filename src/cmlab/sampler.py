@@ -82,23 +82,21 @@ class SamplingTimeSchedule:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TrajectoryRecord:
-    """All intermediate stages of one multistep-sampling run.
+    """The per-stage outputs of one multistep-sampling run.
 
-    ``noisy[i]`` holds the stage-(i+1) noisy samples ``x_{tau_{i+1}}`` and
-    ``denoised[i]`` the corresponding ``x0`` predictions, each ``(n, d)``.
+    ``denoised[i]`` holds the stage-(i+1) ``x0`` predictions, ``(n, d)``.
+    The noisy points ``x_{tau_{i+1}}`` are not kept; they are the inputs of
+    the stage's consistency-function call, so a caller that needs them can
+    record them there.
     """
 
     taus: SamplingTimeSchedule
-    noisy: np.ndarray  # (N, n, d)
     denoised: np.ndarray  # (N, n, d)
     seed: object  # whatever seed material the run was keyed on
 
     def __post_init__(self):
-        n_stages = self.taus.n_steps
-        if self.noisy.shape[0] != n_stages or self.denoised.shape[0] != n_stages:
+        if self.denoised.shape[0] != self.taus.n_steps:
             raise ValueError("stage count mismatch between taus and arrays")
-        if self.noisy.shape != self.denoised.shape:
-            raise ValueError("noisy/denoised shape mismatch")
 
     @property
     def output(self) -> np.ndarray:
@@ -114,14 +112,14 @@ def multistep_sample(
     seed,
     dim: int = 1,
 ) -> TrajectoryRecord:
-    """Run multistep consistency sampling, keeping every stage.
+    """Run multistep consistency sampling, keeping every stage's ``x0``.
 
     The ``n`` rows are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
-    into its slice of the preallocated ``(N, n, d)`` arrays.  Every stage
-    then makes one consistency-function call on all ``n`` rows.  The
-    result is deterministic for a given seed; the sampler starts no
-    threads, so ``CMLAB_THREADS`` does not affect it.
+    into its slice of one ``(n, d)`` noisy slab, reused by every stage.
+    Every stage then makes one consistency-function call on all ``n``
+    rows.  The result is deterministic for a given seed; the sampler starts
+    no threads, so ``CMLAB_THREADS`` does not affect it.
     """
     if n < 1:
         raise NumericError(f"n must be >= 1, got {n}")
@@ -129,17 +127,16 @@ def multistep_sample(
     rngs = chunk_rngs(seed)
     edges = np.cumsum([0] + chunk_sizes(n))
     slices = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    noisy = np.empty((len(ts), n, dim))
+    x = np.empty((n, dim))
     denoised = np.empty((len(ts), n, dim))
     for i, t in enumerate(ts):
-        x = noisy[i]
         for rng, rows in zip(rngs, slices):
             rng.standard_normal(out=x[rows])
         x *= math.sqrt(float(schedule.sigma2(t)))
         if i > 0:
             x += float(schedule.alpha(t)) * denoised[i - 1]
         denoised[i] = fhat(x, t)
-    return TrajectoryRecord(taus=taus, noisy=noisy, denoised=denoised, seed=seed)
+    return TrajectoryRecord(taus=taus, denoised=denoised, seed=seed)
 
 
 def _round_to_grid(t: float, delta: float) -> int:

@@ -324,66 +324,82 @@ def marginal_score_path(
     return score_at
 
 
+_BISECT_MAX_ITER = 200
+
+
+def _mixture_cdf_1d(x, means, sds, weights):
+    """CDF at ``x`` of the 1-D mixture ``sum_k w_k N(m_k, sd_k^2)``; a
+    mixture with a zero ``sd`` (atoms at t = 0) is the step function."""
+    x = np.asarray(x, dtype=float)[..., None]
+    if np.any(sds <= 0):
+        return (x >= means).astype(float) @ weights
+    return ndtr((x - means) / sds) @ weights
+
+
+def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
+    """Quantiles at levels ``u`` of the 1-D mixture ``sum_k w_k N(m_k, v_k)``.
+
+    A mixture with a zero variance (atoms at t = 0) takes the exact step
+    quantile.  Otherwise the bracket is the mixture mean plus/minus ten
+    total standard deviations, each end doubled about the mean until it
+    holds every level, and 80 vectorized bisection passes on the mixture
+    CDF follow.  Raises :class:`NumericError` for levels outside (0, 1) or
+    a failed bracket search.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0) & (u < 1)):
+        raise NumericError(f"quantile levels must lie strictly inside (0, 1), got {u!r}")
+    if np.any(variances <= 0):
+        order = np.argsort(means)
+        idx = np.searchsorted(np.cumsum(weights[order]), u, side="left")
+        return means[order][np.minimum(idx, means.size - 1)]
+    # numpy sums a one-row CDF product with a dot kernel that rounds
+    # differently from its many-row kernel, so a lone level is solved as
+    # two: a quantile does not depend on how many levels share the call.
+    levels = np.resize(u, max(u.size, 2))
+    sds = np.sqrt(variances)
+    m = float(weights @ means)
+    var = float(weights @ (variances + means**2) - m * m)
+    spread = max(math.sqrt(max(var, 0.0)), 1e-12)
+    lo = np.full(levels.shape, m - 10.0 * spread)
+    hi = np.full(levels.shape, m + 10.0 * spread)
+    for _ in range(_BISECT_MAX_ITER):
+        short_lo = not np.all(_mixture_cdf_1d(lo, means, sds, weights) <= levels)
+        short_hi = not np.all(_mixture_cdf_1d(hi, means, sds, weights) >= levels)
+        if not (short_lo or short_hi):
+            break
+        lo = m + 2.0 * (lo - m) if short_lo else lo
+        hi = m + 2.0 * (hi - m) if short_hi else hi
+    else:
+        raise NumericError("quantile bracket search failed")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = _mixture_cdf_1d(mid, means, sds, weights) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return (0.5 * (lo + hi))[: u.size].reshape(u.shape)
+
+
+def _mixture_1d(mixture):
+    """A ``(means, variances, weights)`` mixture with ``(k,)`` means, from
+    one whose means are ``(k, 1)``."""
+    means, variances, weights = mixture
+    if means.shape[1] != 1:
+        raise NumericError("mixture CDFs and quantiles require a 1-D target")
+    return means[:, 0], variances, weights
+
+
 def marginal_cdf_1d(view: MarginalView, x):
     """CDF of a one-dimensional marginal (weighted sum of Gaussian CDFs)."""
-    if view.dim != 1:
-        raise NumericError("marginal_cdf_1d requires a 1-D target")
-    means, variances, weights = view.mixture_params()
-    if np.any(variances <= 0):
-        # Degenerate (t = 0, atoms): step function.
-        x = np.asarray(x, dtype=float)
-        steps = (x[..., None] >= means[:, 0]).astype(float)
-        return steps @ weights
-    x = np.asarray(x, dtype=float)
-    z = (x[..., None] - means[:, 0]) / np.sqrt(variances)
-    return ndtr(z) @ weights
-
-
-_BISECT_MAX_ITER = 200
-_BISECT_TOL = 1e-10
+    means, variances, weights = _mixture_1d(view.mixture_params())
+    return _mixture_cdf_1d(x, means, np.sqrt(variances), weights)
 
 
 def marginal_quantile_1d(view: MarginalView, u: float) -> float:
-    """Quantile of a 1-D marginal by bisection on the exact mixture CDF.
-
-    The initial bracket is the mixture mean plus/minus ten total standard
-    deviations, widened geometrically if needed; bisection then runs to an
-    absolute tolerance of 1e-10 in x.
-    """
-    if view.dim != 1:
-        raise NumericError("marginal_quantile_1d requires a 1-D target")
-    if not 0.0 < u < 1.0:
-        raise NumericError(f"quantile level must be in (0, 1), got {u!r}")
-    means, variances, weights = view.mixture_params()
-    if np.any(variances <= 0):
-        raise NumericError("quantile of a degenerate (t = 0 atomic) marginal")
-    m = float(weights @ means[:, 0])
-    total_var = float(weights @ (variances + means[:, 0] ** 2) - m * m)
-    spread = max(math.sqrt(max(total_var, 0.0)), 1e-12)
-    lo, hi = m - 10.0 * spread, m + 10.0 * spread
-    it = 0
-    while marginal_cdf_1d(view, lo) > u:
-        lo = m + 2.0 * (lo - m)
-        it += 1
-        if it > _BISECT_MAX_ITER:
-            raise NumericError("quantile bracket search failed on the left")
-    while marginal_cdf_1d(view, hi) < u:
-        hi = m + 2.0 * (hi - m)
-        it += 1
-        if it > _BISECT_MAX_ITER:
-            raise NumericError("quantile bracket search failed on the right")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if marginal_cdf_1d(view, mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            return 0.5 * (lo + hi)
-    raise NumericError(
-        f"quantile bisection did not reach tolerance {_BISECT_TOL} in "
-        f"{_BISECT_MAX_ITER} iterations (malformed mixture?)"
-    )
+    """Quantile at level ``u`` of a 1-D marginal, by the mixture quantile
+    solver :func:`_mixture_quantiles_1d` (the step quantile at t = 0 for
+    atoms)."""
+    return float(_mixture_quantiles_1d(*_mixture_1d(view.mixture_params()), u))
 
 
 def _sample_mixture(rng, means, variances, weights, m: int) -> np.ndarray:
@@ -481,50 +497,6 @@ def geometry(target: Target) -> TargetGeometry:
 
 
 def target_quantiles_1d(target: Target, u) -> np.ndarray:
-    """Quantiles of the raw (t = 0) target at levels ``u`` — vectorized.
-
-    Atomic targets use the exact step quantile; Gaussian mixtures use a
-    vectorized bisection on the mixture CDF.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any((u <= 0) | (u >= 1)):
-        raise NumericError("quantile levels must lie strictly inside (0, 1)")
-    if isinstance(target, DiscreteTarget):
-        if target.dim != 1:
-            raise NumericError("target quantiles require a 1-D target")
-        order = np.argsort(target.locations[:, 0])
-        locs = target.locations[order, 0]
-        cum = np.cumsum(target.weights[order])
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, locs.size - 1)
-        return locs[idx]
-    if isinstance(target, GaussianMixtureTarget):
-        if target.dim != 1:
-            raise NumericError("target quantiles require a 1-D target")
-        means = target.means[:, 0]
-        sds = np.sqrt(target.variances)
-        w = target.weights
-
-        def cdf(x):
-            return ndtr((x[..., None] - means) / sds) @ w
-
-        m = float(w @ means)
-        var = float(w @ (target.variances + means**2) - m * m)
-        spread = max(math.sqrt(max(var, 0.0)), 1e-12)
-        lo = np.full(u.shape, m - 10.0 * spread)
-        hi = np.full(u.shape, m + 10.0 * spread)
-        for _ in range(_BISECT_MAX_ITER):
-            if np.all(cdf(lo) <= u):
-                break
-            lo = m + 2.0 * (lo - m)
-        for _ in range(_BISECT_MAX_ITER):
-            if np.all(cdf(hi) >= u):
-                break
-            hi = m + 2.0 * (hi - m)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-    raise TypeError(f"unsupported target type {type(target).__name__}")
+    """Quantiles of the raw (t = 0) target at levels ``u`` — vectorized, by
+    the same mixture quantile solver as :func:`marginal_quantile_1d`."""
+    return _mixture_quantiles_1d(*_mixture_1d(_component_params(target)), u)

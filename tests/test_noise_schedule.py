@@ -64,10 +64,10 @@ def test_custom_mirror_matches_ou():
     np.testing.assert_allclose(cust.sigma2(t), -np.expm1(-2 * t), rtol=1e-8)
 
 
-def test_custom_mirror_finite_difference_drift():
-    # The custom path has no closed form, so (h, g2) come from central
-    # finite differences; against the tabulated OU they must recover
-    # (-1, 2) up to interpolation + FD truncation error.
+def test_custom_mirror_interpolant_derivative_drift():
+    # The custom path differentiates its monotone cubics exactly; against
+    # the tabulated OU, (h, g2) must recover (-1, 2) up to interpolation
+    # error.
     cust = mirror_ou()
     for t in (0.5, 1.0, 2.5, 4.0):
         h, g2 = drift_diffusion(cust, t)
@@ -75,9 +75,13 @@ def test_custom_mirror_finite_difference_drift():
         assert abs(float(g2) - 2.0) < 1e-4
 
 
-def test_custom_drift_needs_positive_time():
-    with pytest.raises(NumericError):
-        drift_diffusion(mirror_ou(), 0.0)
+def test_custom_drift_at_time_zero():
+    # The interpolant derivatives exist at the table's first row, so the
+    # drift is finite at t = 0, within the mirror-OU tolerances.
+    h, g2 = (float(v) for v in drift_diffusion(mirror_ou(), 0.0))
+    assert math.isfinite(h) and math.isfinite(g2)
+    assert abs(h + 1.0) < 1e-5
+    assert abs(g2 - 2.0) < 1e-4
 
 
 def test_custom_domain_is_enforced():

@@ -57,6 +57,18 @@ def test_truncated():
         taus.truncated(4)
 
 
+def _recording(fhat):
+    """``fhat`` wrapped so that each call keeps a copy of its input: the
+    noisy points of every stage, stacked as ``(N, n, d)`` by ``noisy()``."""
+    seen = []
+
+    def fn(pts, t):
+        seen.append(pts.copy())
+        return fhat(pts, t)
+
+    return wrap_fn(fn), lambda: np.stack(seen)
+
+
 def test_single_step_proportions():
     f = exact_two_point(TWO_ATOM, OU)
     rec = multistep_sample(f, OU, SamplingTimeSchedule((10.0,)), 100_000, seed=0)
@@ -70,37 +82,38 @@ def test_single_step_proportions():
 def test_trajectory_record_shapes_and_determinism():
     f = exact_two_point(TWO_ATOM, OU)
     taus = SamplingTimeSchedule((14.0, 9.0))
-    a = multistep_sample(f, OU, taus, 3000, seed=42)
-    b = multistep_sample(f, OU, taus, 3000, seed=42)
-    assert a.noisy.shape == a.denoised.shape == (2, 3000, 1)
-    np.testing.assert_array_equal(a.noisy, b.noisy)
+    (fa, noisy_a), (fb, noisy_b), (fc, noisy_c) = (_recording(f) for _ in range(3))
+    a = multistep_sample(fa, OU, taus, 3000, seed=42)
+    b = multistep_sample(fb, OU, taus, 3000, seed=42)
+    assert noisy_a().shape == a.denoised.shape == (2, 3000, 1)
+    np.testing.assert_array_equal(noisy_a(), noisy_b())
     np.testing.assert_array_equal(a.denoised, b.denoised)
     np.testing.assert_array_equal(a.output, a.denoised[-1])
-    c = multistep_sample(f, OU, taus, 3000, seed=43)
-    assert not np.array_equal(a.noisy, c.noisy)
+    multistep_sample(fc, OU, taus, 3000, seed=43)
+    assert not np.array_equal(noisy_a(), noisy_c())
     with pytest.raises(NumericError):
         multistep_sample(f, OU, taus, 0, seed=0)
 
 
 def test_multidimensional_sampling():
-    f = wrap_fn(lambda pts, t: 0.0 * pts)
+    f, noisy = _recording(wrap_fn(lambda pts, t: 0.0 * pts))
     rec = multistep_sample(f, OU, SamplingTimeSchedule((5.0, 1.0)), 500, 0, dim=3)
-    assert rec.noisy.shape == (2, 500, 3)
+    assert noisy().shape == (2, 500, 3)
     np.testing.assert_array_equal(rec.output, np.zeros((500, 3)))
     # stage-2 noisy law is then N(0, sigma2(1) I)
-    s2 = float(rec.noisy[1].var())
+    s2 = float(noisy()[1].var())
     assert s2 == pytest.approx(-math.expm1(-2.0), rel=0.15)
 
 
 def test_renoising_is_gaussian():
     # Stage-2 residuals (x_2 - alpha_2 x0_1) / sigma_2 are exactly iid
     # standard normal; Anderson-Darling at the 1% level.
-    f = exact_two_point(TWO_ATOM, OU)
+    f, noisy = _recording(exact_two_point(TWO_ATOM, OU))
     taus = SamplingTimeSchedule((14.0, 9.0))
     rec = multistep_sample(f, OU, taus, 2000, seed=0)
     a2 = math.exp(-9.0)
     s2 = math.sqrt(-math.expm1(-18.0))
-    z = (rec.noisy[1] - a2 * rec.denoised[0])[:, 0] / s2
+    z = (noisy()[1] - a2 * rec.denoised[0])[:, 0] / s2
     res = scipy.stats.anderson(z, dist="norm", method="interpolate")
     assert res.pvalue > 0.01
 
@@ -143,9 +156,10 @@ def test_batched_stages_match_chunk_major_reference(oracle, n):
     # n = 5 leaves 11 of the 16 chunks empty; 4097 leaves one chunk larger.
     make, schedule, times = _ORACLES[oracle]
     taus = SamplingTimeSchedule(times)
-    rec = multistep_sample(make(), schedule, taus, n, seed=11)
+    f, rec_noisy = _recording(make())
+    rec = multistep_sample(f, schedule, taus, n, seed=11)
     noisy, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=11)
-    np.testing.assert_array_equal(rec.noisy, noisy)
+    np.testing.assert_array_equal(rec_noisy(), noisy)
     np.testing.assert_array_equal(rec.denoised, denoised)
 
 
@@ -158,10 +172,11 @@ def test_one_oracle_call_per_stage(monkeypatch):
 
     taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
     monkeypatch.setenv("CMLAB_THREADS", "4")
-    rec = multistep_sample(wrap_fn(fn), OU, taus, 1001, seed=4, dim=2)
+    f, rec_noisy = _recording(wrap_fn(fn))
+    rec = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
     assert calls == [(t, (1001, 2)) for t in taus.taus]
     noisy, denoised = _chunk_major_reference(wrap_fn(fn), OU, taus, 1001, seed=4, dim=2)
-    np.testing.assert_array_equal(rec.noisy, noisy)
+    np.testing.assert_array_equal(rec_noisy(), noisy)
     np.testing.assert_array_equal(rec.denoised, denoised)
 
 

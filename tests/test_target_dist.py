@@ -28,6 +28,9 @@ OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
 SKEWED = DiscreteTarget([0.0, 100.0], [0.3, 0.7])
 STD_GAUSS = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
+GMM3 = GaussianMixtureTarget([[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2])
+# The sampling times of the three reproduce-sim designs.
+SIM_TAUS = (14.0, 11.0, 9.0, 8.0, 7.0, 6.0, 4.0, 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +173,32 @@ def test_score_vector_shape():
 
 
 def test_cdf_quantile_inverse():
-    view = MarginalView(SKEWED, OU, 1.3)
-    for u in (0.01, 0.5, 0.99):
+    # t = 1.3 on the skewed atoms, and the reproduce-sim boundary levels
+    # 0.5 + 1e-4 t^2 at the simulation's sampling times on the two atoms.
+    cases = [(SKEWED, 1.3, u) for u in (0.01, 0.5, 0.99)]
+    cases += [(TWO_ATOM, t, 0.5 + 1e-4 * t * t) for t in SIM_TAUS]
+    for target, t, u in cases:
+        view = MarginalView(target, OU, t)
         x = marginal_quantile_1d(view, u)
         assert float(marginal_cdf_1d(view, x)) == pytest.approx(u, abs=1e-9)
+
+
+@pytest.mark.parametrize("target", [SKEWED, GMM3], ids=["atoms", "gmm"])
+def test_target_quantiles_match_marginal_route(target):
+    # The t = 0 marginal is the target itself, and both routes run the one
+    # mixture quantile solver, so every level agrees to the bit.
+    u = np.concatenate([[1e-6, 0.3, 0.30000001, 0.7], (np.arange(1, 513) - 0.5) / 512])
+    view = MarginalView(target, OU, 0.0)
+    want = np.array([marginal_quantile_1d(view, ui) for ui in u])
+    np.testing.assert_array_equal(target_quantiles_1d(target, u), want)
+
+
+def test_quantile_bracket_failure_raises():
+    # A NaN mean leaves every CDF value NaN, so no bracket ever holds the
+    # levels; the solver must say so instead of returning NaN quantiles.
+    broken = GaussianMixtureTarget([[float("nan")]], [1.0], [1.0])
+    with pytest.raises(NumericError):
+        target_quantiles_1d(broken, [0.25, 0.75])
 
 
 def test_symmetric_median():
