@@ -117,12 +117,20 @@ class ConsistencyFn:
 
 
 def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
+    """Scale the rows of ``y`` whose norm exceeds ``radius`` back onto the
+    sphere of that radius, by ``radius / norm``; ``y`` itself is returned
+    when no row is over.  In 1-D the norm is ``|y|``, which is what
+    ``sqrt(y**2)`` rounds to wherever ``y**2`` neither overflows nor
+    underflows."""
     if not np.isfinite(radius):
         return y
-    norms = np.linalg.norm(y, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > radius, radius / norms, 1.0)
-    return y * scale[:, None]
+    norms = np.abs(y[:, 0]) if y.shape[1] == 1 else np.linalg.norm(y, axis=1)
+    over = np.flatnonzero(norms > radius)
+    if over.size == 0:
+        return y
+    y = y.copy()
+    y[over] *= (radius / norms[over])[:, None]
+    return y
 
 
 def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
@@ -228,7 +236,9 @@ def _pf_ode_field(target, schedule: NoiseSchedule, grid: np.ndarray) -> Callable
     score_at = marginal_score_path(target, schedule, grid, cap=_SCORE_QUERY_CAP)
 
     def field(j: int, y: np.ndarray) -> np.ndarray:
-        return h_all[j] * y - half_g2_all[j] * score_at(j, y)
+        out = score_at(j, y)
+        out *= half_g2_all[j]
+        return np.subtract(h_all[j] * y, out, out=out)
 
     return field
 
@@ -285,12 +295,27 @@ def pf_ode_transport(
         target, schedule, np.linspace(t_from, t_to, 2 * n_steps + 1)
     )
 
+    # Stage points and the step combination are built in place, in the
+    # operation order of ``pts + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` (IEEE
+    # sums and products commute), so no step allocates more than the four
+    # field values.
+    half_h = 0.5 * h_step
+    stage = np.empty_like(pts)
     for k in range(n_steps):
         k1 = field(2 * k, pts)
-        k2 = field(2 * k + 1, pts + 0.5 * h_step * k1)
-        k3 = field(2 * k + 1, pts + 0.5 * h_step * k2)
-        k4 = field(2 * k + 2, pts + h_step * k3)
-        pts = pts + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, half_h, out=stage)
+        k2 = field(2 * k + 1, np.add(stage, pts, out=stage))
+        np.multiply(k2, half_h, out=stage)
+        k3 = field(2 * k + 1, np.add(stage, pts, out=stage))
+        np.multiply(k3, h_step, out=stage)
+        k4 = field(2 * k + 2, np.add(stage, pts, out=stage))
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h_step / 6.0
+        pts += k2
     return pts[:, 0] if squeeze else pts
 
 

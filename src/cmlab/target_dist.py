@@ -6,9 +6,11 @@ is an exact Gaussian mixture
 
     p_t = sum_k w_k * N(alpha_t * x_k, (alpha_t**2 * v_k + sigma2_t) * I)
 
-(with ``v_k = 0`` for atoms), which gives closed-form densities, scores,
-CDFs and quantiles — everything the samplers, oracles, and bound evaluators
-downstream need, with no estimation anywhere.
+(with ``v_k = 0`` for atoms), which gives closed-form densities, scores
+and CDFs — everything the samplers, oracles, and bound evaluators
+downstream need, with no estimation anywhere.  1-D quantiles are closed
+form for atoms at t = 0 and for one Gaussian; for mixtures they come from
+a safeguarded Newton solve inside an exact bracket, to a few ulps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from ._rng import map_chunks
 from .errors import NumericError
@@ -201,11 +203,13 @@ def _log_normalize(logc: np.ndarray):
     """Log-sum-exp over the component axis of a ``(k, n)`` array of log
     terms, together with the shifted exponentials ``e = exp(logc - max)``
     and their sum ``s``, so that ``e / s`` are the responsibilities.
-    Reducing over the leading axis of a component-major array runs as
-    ``k`` row-wise vector operations."""
+    ``e`` is written over ``logc``, so a kernel pass allocates no new
+    ``(k, n)`` array here.  Reducing over the leading axis of a
+    component-major array runs as ``k`` row-wise vector operations."""
     m = logc.max(axis=0)
     with np.errstate(invalid="ignore"):
-        e = np.exp(logc - m)
+        logc -= m
+        e = np.exp(logc, out=logc)
         s = e.sum(axis=0)
         total = np.where(np.isfinite(m), m + np.log(s), m)
     return total, e, s
@@ -238,19 +242,29 @@ def _mixture_score(pts: np.ndarray, mixture, cap: float | None = None):
             moved = means[near] - pull[near, off] * scale[:, None]
             pull[:, off], sq_off = _pulls(moved, means)
             z2[:, off] = sq_off / variances[:, None]
-    log_coef = _log_coefs(weights, variances, means.shape[1])
-    total, e, s = _log_normalize(log_coef[:, None] - 0.5 * z2)
+    # From here on every (k, n) and (k, n, d) step is done in place, in the
+    # same operation order as ``((e / s) / v) * pull`` with
+    # ``e = exp(log_coef - 0.5 z2 - max)``: IEEE products and sums commute,
+    # and ``a - 0.5 b`` is exactly ``(-0.5 b) + a``.  A field evaluation of
+    # the ODE solver then allocates three (k, n)-sized arrays, not ten,
+    # which the allocator would otherwise hand back to the OS and fault in
+    # again on every call.
+    log_terms = np.multiply(z2, -0.5, out=sq)
+    log_terms += _log_coefs(weights, variances, means.shape[1])[:, None]
+    total, resp, s = _log_normalize(log_terms)
     if np.any(total < _LOG_PDF_FLOOR):
         raise NumericError(
             "marginal density underflow while evaluating the score; "
             "clamp x or increase t"
         )
+    resp /= s
+    resp /= variances[:, None]
+    pull *= resp[:, :, None]
     # Sum the components in a fixed order with elementwise adds, so a row's
     # score does not depend on how many rows share the call (einsum takes a
     # differently ordered kernel when n == 1).
-    terms = ((e / s) / variances[:, None])[:, :, None] * pull
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
+    out = np.zeros(pull.shape[1:])
+    for term in pull:
         out += term
     return out
 
@@ -324,60 +338,115 @@ def marginal_score_path(
     return score_at
 
 
-_BISECT_MAX_ITER = 200
+# Newton passes per level before the solver gives up; a level that is not
+# done by then can only come from non-finite arithmetic.
+_NEWTON_MAX_ITER = 200
+# A level is done once its step is below this fraction of ``|x| + scale``:
+# a few dozen ulps, above the rounding noise of the residual.
+_NEWTON_RTOL = 2.0**-46
 
 
 def _mixture_cdf_1d(x, means, sds, weights):
     """CDF at ``x`` of the 1-D mixture ``sum_k w_k N(m_k, sd_k^2)``; a
-    mixture with a zero ``sd`` (atoms at t = 0) is the step function."""
-    x = np.asarray(x, dtype=float)[..., None]
-    if np.any(sds <= 0):
-        return (x >= means).astype(float) @ weights
-    return ndtr((x - means) / sds) @ weights
+    component with zero ``sd`` (an atom at t = 0) is a step.
+
+    The components are summed in a fixed order with elementwise adds, so a
+    point's CDF does not depend on how many points share the call (numpy's
+    matrix product rounds a one-row call differently).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for m, sd, w in zip(means, sds, weights):
+        out += w * ((x >= m) if sd <= 0 else ndtr((x - m) / sd))
+    return out
+
+
+def _lower_quantiles_1d(means, sds, weights, u) -> np.ndarray:
+    """Quantiles at levels ``0 < u <= 1/2`` of a 1-D Gaussian mixture with
+    at least two components (``u`` a flat array).
+
+    Every level is bracketed exactly by its component quantiles
+    ``q_k = m_k + sd_k ndtri(u)``: the mixture CDF is at most ``u`` at
+    ``min_k q_k`` and at least ``u`` at ``max_k q_k``.  From the middle of
+    the bracket, Newton steps solve ``ndtri(F(x)) = ndtri(u)``, which is
+    linear in ``x`` for one component and close to linear in the tails,
+    where ``F`` itself is too flat for Newton.  Its derivative is the
+    mixture density over the standard normal density at ``ndtri(F(x))``.
+    Every residual narrows the bracket.  A step that leaves the bracket, or
+    is not half the size of the step two passes before, is replaced by a
+    bisection (the safeguard of Numerical Recipes' ``rtsafe``).  Each level
+    stops on its own once its step is a few dozen ulps of ``|x| + scale``,
+    so its result does not depend on which other levels share the call.
+    """
+    z_u = ndtri(u)
+    q = means[:, None] + sds[:, None] * z_u
+    lo, hi = q.min(axis=0), q.max(axis=0)
+    scale = float(np.max(np.abs(means)) + np.max(sds))
+    x = 0.5 * (lo + hi)
+    last = older = hi - lo  # step sizes of the previous two passes
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if todo.size == 0:
+            return out
+        w_x = ndtri(_mixture_cdf_1d(x, means, sds, weights))
+        g = w_x - z_u[todo]
+        # H'(x) = sum_k (w_k / sd_k) phi(z_k) / phi(w_x), with the ratio of
+        # normal densities formed in the exponent so that neither underflows.
+        # Where F is 0 or 1 the slope is inf or nan, and the step fails the
+        # bracket test below.
+        w2 = w_x * w_x
+        slope = np.zeros(x.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for m, sd, w in zip(means, sds, weights):
+                z = (x - m) / sd
+                slope += (w / sd) * np.exp(0.5 * (w2 - z * z))
+            step = np.where(g == 0, 0.0, g / slope)
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        newton = x - step
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * np.abs(older))
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        last, older = np.where(ok, step, 0.5 * (hi - lo)), last
+        done = np.abs(last) <= _NEWTON_RTOL * (np.abs(nxt) + scale)
+        out[todo[done]] = nxt[done]
+        keep = ~done
+        todo, x, lo, hi = todo[keep], nxt[keep], lo[keep], hi[keep]
+        last, older = last[keep], older[keep]
+    raise NumericError("mixture quantile solver did not converge")
 
 
 def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
     """Quantiles at levels ``u`` of the 1-D mixture ``sum_k w_k N(m_k, v_k)``.
 
     A mixture with a zero variance (atoms at t = 0) takes the exact step
-    quantile.  Otherwise the bracket is the mixture mean plus/minus ten
-    total standard deviations, each end doubled about the mean until it
-    holds every level, and 80 vectorized bisection passes on the mixture
-    CDF follow.  Raises :class:`NumericError` for levels outside (0, 1) or
-    a failed bracket search.
+    quantile, and one Gaussian the closed form ``m + sd ndtri(u)``.  Other
+    mixtures are solved by bracketed Newton steps
+    (:func:`_lower_quantiles_1d`).  Levels above 1/2 are solved as the
+    level ``1 - u`` (exact in floating point) of the mirrored mixture, that
+    is against the survival function ``sum_k w_k ndtr(-z_k) = 1 - u``,
+    because ``ndtr`` rounds to 1 in the upper tail.  Raises
+    :class:`NumericError` for levels outside (0, 1) and for non-finite
+    mixture parameters.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0) & (u < 1)):
         raise NumericError(f"quantile levels must lie strictly inside (0, 1), got {u!r}")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+        raise NumericError("mixture quantiles need finite means and variances")
     if np.any(variances <= 0):
         order = np.argsort(means)
         idx = np.searchsorted(np.cumsum(weights[order]), u, side="left")
         return means[order][np.minimum(idx, means.size - 1)]
-    # numpy sums a one-row CDF product with a dot kernel that rounds
-    # differently from its many-row kernel, so a lone level is solved as
-    # two: a quantile does not depend on how many levels share the call.
-    levels = np.resize(u, max(u.size, 2))
     sds = np.sqrt(variances)
-    m = float(weights @ means)
-    var = float(weights @ (variances + means**2) - m * m)
-    spread = max(math.sqrt(max(var, 0.0)), 1e-12)
-    lo = np.full(levels.shape, m - 10.0 * spread)
-    hi = np.full(levels.shape, m + 10.0 * spread)
-    for _ in range(_BISECT_MAX_ITER):
-        short_lo = not np.all(_mixture_cdf_1d(lo, means, sds, weights) <= levels)
-        short_hi = not np.all(_mixture_cdf_1d(hi, means, sds, weights) >= levels)
-        if not (short_lo or short_hi):
-            break
-        lo = m + 2.0 * (lo - m) if short_lo else lo
-        hi = m + 2.0 * (hi - m) if short_hi else hi
-    else:
-        raise NumericError("quantile bracket search failed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = _mixture_cdf_1d(mid, means, sds, weights) < levels
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return (0.5 * (lo + hi))[: u.size].reshape(u.shape)
+    if means.size == 1:
+        return means[0] + sds[0] * ndtri(u)
+    flat = u.ravel()
+    out = np.empty(flat.shape)
+    upper = flat > 0.5
+    out[~upper] = _lower_quantiles_1d(means, sds, weights, flat[~upper])
+    out[upper] = -_lower_quantiles_1d(-means, sds, weights, 1.0 - flat[upper])
+    return out.reshape(u.shape)
 
 
 def _mixture_1d(mixture):

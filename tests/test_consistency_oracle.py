@@ -28,7 +28,7 @@ from cmlab import (
     score,
     wrap_fn,
 )
-from cmlab.consistency_oracle import _pf_ode_field
+from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -253,6 +253,123 @@ def test_pf_ode_field_matches_reference_formula(target, pts, schedule):
         projected |= off
         assert not off.all()
     assert projected.any()  # some queries exercised the 30-sd projection
+
+
+def _allocating_field(target, schedule, grid):
+    """The PF-ODE field as the component-major kernel computed it with a
+    fresh array for every operation; the in-place kernel must reproduce it
+    bit for bit."""
+    h_all, g2_all = drift_diffusion(schedule, grid)
+    half_g2_all = 0.5 * np.asarray(g2_all, dtype=float)
+    times = schedule.check_time(grid)
+    a_all = np.asarray(schedule.alpha(times), dtype=float)
+    s2_all = np.asarray(schedule.sigma2(times), dtype=float)
+    if isinstance(target, DiscreteTarget):
+        locs, vs = target.locations, np.zeros(target.n_components)
+    else:
+        locs, vs = target.means, target.variances
+    weights = target.weights
+    cap = 30.0
+
+    def field(j, pts):
+        a, s2 = a_all[j], s2_all[j]
+        means, variances = a * locs, a * a * vs + s2
+        pull = means[:, None, :] - pts[None, :, :]
+        sq = np.einsum("knd,knd->kn", pull, pull)
+        z2 = sq / variances[:, None]
+        off = np.flatnonzero(z2.min(axis=0) > cap * cap)
+        if off.size:
+            near = np.argmin(z2[:, off], axis=0)
+            scale = cap * np.sqrt(variances[near] / sq[near, off])
+            moved = means[near] - pull[near, off] * scale[:, None]
+            pull_off = means[:, None, :] - moved[None, :, :]
+            pull[:, off] = pull_off
+            z2[:, off] = np.einsum("knd,knd->kn", pull_off, pull_off) / variances[:, None]
+        log_coef = np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi * variances)
+        logc = log_coef[:, None] - 0.5 * z2
+        m = logc.max(axis=0)
+        e = np.exp(logc - m)
+        s = e.sum(axis=0)
+        terms = ((e / s) / variances[:, None])[:, :, None] * pull
+        sc = np.zeros(terms.shape[1:])
+        for term in terms:
+            sc += term
+        return h_all[j] * pts - half_g2_all[j] * sc
+
+    return field
+
+
+def _allocating_transport(target, schedule, x, t_from, t_to, step):
+    n_steps = int(math.ceil(abs(t_to - t_from) / step))
+    h = (t_to - t_from) / n_steps
+    field = _allocating_field(target, schedule, np.linspace(t_from, t_to, 2 * n_steps + 1))
+    pts = x.copy()
+    for k in range(n_steps):
+        k1 = field(2 * k, pts)
+        k2 = field(2 * k + 1, pts + 0.5 * h * k1)
+        k3 = field(2 * k + 1, pts + 0.5 * h * k2)
+        k4 = field(2 * k + 2, pts + h * k3)
+        pts = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return pts
+
+
+_GMM3 = GaussianMixtureTarget([[-3.0], [0.5], [4.0]], [0.3, 1.0, 0.5], [0.2, 0.5, 0.3])
+_GMM_2D = GaussianMixtureTarget([[-3.0, 1.0], [2.0, 0.5]], [0.4, 1.5], [0.35, 0.65])
+
+
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+@pytest.mark.parametrize(
+    "target, pts",
+    [
+        (TWO_ATOM, [[-3.0], [0.01], [2.0], [18.0], [40.0], [60.0], [99.9], [150.0]]),
+        (_GMM3, [[-300.0], [-40.0], [-2.5], [0.0], [1.7], [3.9], [55.0], [300.0]]),
+        (_GMM_2D, [[-300.0, 2.0], [-3.0, 1.0], [0.0, 0.0], [1.0, -2.0], [80.0, 90.0]]),
+    ],
+    ids=["atoms", "gmm", "gmm2d"],
+)
+def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
+    # Bit for bit, at points inside and beyond 30 component sd, on the field
+    # and on whole RK4 transports in both time directions.
+    grid = np.array([1e-3, 0.05, 0.4, 1.0, 2.5])
+    y = np.array(pts)
+    field = _pf_ode_field(target, schedule, grid)
+    want_field = _allocating_field(target, schedule, grid)
+    for j in range(grid.size):
+        np.testing.assert_array_equal(field(j, y), want_field(j, y))
+    cfg = PfOdeSolverConfig(step=0.05)
+    for t_from, t_to in ((2.0, 0.05), (0.3, 1.2)):
+        got = pf_ode_transport(target, schedule, y, t_from, t_to, cfg)
+        want = _allocating_transport(target, schedule, y, t_from, t_to, cfg.step)
+        np.testing.assert_array_equal(got, want)
+
+
+def _scaled_rows(y, radius):
+    """The output clamp as one ``radius / norm`` scale for every row."""
+    if not np.isfinite(radius):
+        return y
+    norms = np.linalg.norm(y, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > radius, radius / norms, 1.0)
+    return y * scale[:, None]
+
+
+@pytest.mark.parametrize("radius", [2.5, math.inf])
+@pytest.mark.parametrize("d", [1, 3])
+def test_clamp_norms_matches_row_scaling(d, radius):
+    rng = np.random.default_rng(d)
+    y = rng.normal(scale=2.0, size=(400, d))
+    y[:6] = 0.0
+    y[1] = -0.0
+    y[2, 0], y[3, -1] = 2.5, -2.5  # exactly at the radius
+    y[4] = 1e6  # far over
+    y[5, 0] = -2.5000000000000004  # one ulp over
+    before = y.copy()
+    got = _clamp_norms(y, radius)
+    want = _scaled_rows(before, radius)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(y, before)  # the input is left alone
+    inside = y[np.linalg.norm(y, axis=1) <= 2.5]
+    assert _clamp_norms(inside, radius) is inside
 
 
 def test_pf_ode_field_underflow_raises():

@@ -1,11 +1,15 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from cmlab import (
     DiscreteTarget,
@@ -23,6 +27,8 @@ from cmlab import (
     score,
     target_quantiles_1d,
 )
+from cmlab._config import build_target
+from cmlab.target_dist import _mixture_cdf_1d, _mixture_quantiles_1d
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -31,6 +37,18 @@ STD_GAUSS = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
 GMM3 = GaussianMixtureTarget([[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2])
 # The sampling times of the three reproduce-sim designs.
 SIM_TAUS = (14.0, 11.0, 9.0, 8.0, 7.0, 6.0, 4.0, 3.0, 1.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# The targets of the shipped configs, one Gaussian of the kind the benchmark's
+# gauss_tv workload draws (mean in [1, 3], variance in [0.3, 0.8]), and the
+# GMM of its pfode_gmm workload.
+QUANTILE_TARGETS = {
+    path.stem: build_target(json.loads(path.read_text())["target"])
+    for path in sorted(CONFIG_DIR.glob("*.json"))
+}
+QUANTILE_TARGETS["bench_gauss_tv"] = GaussianMixtureTarget([[1.7]], [0.55], [1.0])
+QUANTILE_TARGETS["bench_pfode_gmm"] = GaussianMixtureTarget(
+    [[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +212,150 @@ def test_target_quantiles_match_marginal_route(target):
 
 
 def test_quantile_bracket_failure_raises():
-    # A NaN mean leaves every CDF value NaN, so no bracket ever holds the
-    # levels; the solver must say so instead of returning NaN quantiles.
+    # A NaN mean leaves every CDF value and component quantile NaN, so no
+    # bracket holds the levels; the solver must say so instead of returning
+    # NaN quantiles, for one component (the closed form) and for several.
     broken = GaussianMixtureTarget([[float("nan")]], [1.0], [1.0])
     with pytest.raises(NumericError):
         target_quantiles_1d(broken, [0.25, 0.75])
+    with pytest.raises(NumericError):
+        target_quantiles_1d(broken, 0.5)
+    mixed = GaussianMixtureTarget([[0.0], [float("nan")]], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(NumericError):
+        target_quantiles_1d(mixed, [0.25, 0.75])
+    with pytest.raises(NumericError):
+        _mixture_quantiles_1d(np.zeros(2), np.array([1.0, np.inf]), np.full(2, 0.5), 0.3)
+
+
+def _bisection_quantiles(means, variances, weights, u):
+    """The solver this package used before bracketed Newton: a mean plus or
+    minus ten total standard deviations bracket, doubled until it holds
+    every level, then 80 bisection passes of the mixture CDF."""
+    u = np.asarray(u, dtype=float)
+    sds = np.sqrt(variances)
+
+    def cdf(x):
+        x = x[:, None]
+        if np.any(sds <= 0):
+            return (x >= means).astype(float) @ weights
+        return ndtr((x - means) / sds) @ weights
+
+    m = float(weights @ means)
+    var = float(weights @ (variances + means**2) - m * m)
+    spread = max(math.sqrt(max(var, 0.0)), 1e-12)
+    lo = np.full(u.shape, m - 10.0 * spread)
+    hi = np.full(u.shape, m + 10.0 * spread)
+    for _ in range(200):
+        short_lo = not np.all(cdf(lo) <= u)
+        short_hi = not np.all(cdf(hi) >= u)
+        if not (short_lo or short_hi):
+            break
+        lo = m + 2.0 * (lo - m) if short_lo else lo
+        hi = m + 2.0 * (hi - m) if short_hi else hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _params_1d(target):
+    if isinstance(target, DiscreteTarget):
+        return target.locations[:, 0], np.zeros(target.n_components), target.weights
+    return target.means[:, 0], target.variances, target.weights
+
+
+@pytest.mark.parametrize("name", sorted(QUANTILE_TARGETS))
+def test_quantiles_match_bisection(name):
+    target = QUANTILE_TARGETS[name]
+    for n in (1, 7, 4096, 100_000):
+        u = (np.arange(1, n + 1) - 0.5) / n
+        want = _bisection_quantiles(*_params_1d(target), u)
+        np.testing.assert_allclose(target_quantiles_1d(target, u), want, rtol=0, atol=1e-10)
+
+
+def _mp_quantile(target, u):
+    """Mixture quantile to 40 digits: for ``u > 1/2`` the root of the
+    survival function at ``1 - u`` (exact in binary), else of the CDF."""
+    means, variances, weights = (
+        [mpmath.mpf(float(v)) for v in arr] for arr in _params_1d(target)
+    )
+    sds = [mpmath.sqrt(v) for v in variances]
+    upper = u > 0.5
+    level = mpmath.mpf(1.0 - u if upper else u)
+    sign = -1 if upper else 1
+
+    def excess(x):
+        return sum(
+            w * mpmath.ncdf(sign * (x - m) / sd) for m, sd, w in zip(means, sds, weights)
+        ) - level
+
+    z = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1)
+    qs = [m + sd * z for m, sd in zip(means, sds)]
+    with mpmath.workdps(40):
+        return mpmath.findroot(excess, (min(qs) - 1e-9, max(qs) + 1e-9), solver="anderson")
+
+
+@pytest.mark.parametrize("target", [GMM3, QUANTILE_TARGETS["bench_pfode_gmm"],
+                                    GaussianMixtureTarget([[1.7]], [0.55], [1.0])],
+                         ids=["gmm3", "bench_gmm", "gauss"])
+def test_tail_quantiles_match_mpmath(target):
+    levels = [1e-15, 1e-10, 1.0 - 1e-10, 1.0 - 2.0**-50]
+    got = target_quantiles_1d(target, levels)
+    for u, q in zip(levels, got):
+        want = _mp_quantile(target, u)
+        assert abs(q - float(want)) <= 1e-12 * abs(float(want)), (u, q, want)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    comps=st.lists(
+        st.tuples(
+            st.floats(-20.0, 20.0),
+            st.floats(-3.0, 2.0),  # log10 variance
+            st.floats(0.05, 1.0),  # unnormalised weight
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    tail=st.floats(1e-300, 0.5),
+    upper=st.booleans(),
+)
+def test_quantile_inverts_cdf(comps, tail, upper):
+    # F(Q(u)) = u up to a few ulps of the level (the rounding of F, taken
+    # as the survival function above 1/2) plus a few ulps of |x| + scale
+    # times the density at x (the rounding of the quantile itself).
+    means = np.array([c[0] for c in comps])
+    variances = 10.0 ** np.array([c[1] for c in comps])
+    weights = np.array([c[2] for c in comps])
+    weights /= weights.sum()
+    sds = np.sqrt(variances)
+    u = 1.0 - tail if upper else tail
+    if not 0.0 < u < 1.0:
+        return
+    x = float(_mixture_quantiles_1d(means, variances, weights, u))
+    if upper:
+        got = float(_mixture_cdf_1d(-x, -means, sds, weights))
+        level = 1.0 - u
+    else:
+        got = float(_mixture_cdf_1d(x, means, sds, weights))
+        level = u
+    density = float(np.sum(weights * scipy.stats.norm.pdf(x, means, sds)))
+    scale = abs(x) + np.max(np.abs(means)) + np.max(sds)
+    assert abs(got - level) <= 4 * _EPS * (level + scale * density)
+
+
+def test_cdf_is_batch_invariant():
+    # A point's CDF does not depend on how many points share the call.
+    view = MarginalView(GMM3, OU, 0.7)
+    x = np.linspace(-10.0, 10.0, 1001)
+    batched = marginal_cdf_1d(view, x)
+    one_by_one = np.array([float(marginal_cdf_1d(view, xi)) for xi in x])
+    np.testing.assert_array_equal(batched, one_by_one)
 
 
 def test_symmetric_median():
@@ -221,9 +378,12 @@ def test_quantile_frozen_value():
 
 def test_quantile_rejects_bad_levels():
     view = MarginalView(TWO_ATOM, OU, 1.0)
-    for u in (0.0, 1.0, -0.2, 1.7):
+    for u in (0.0, 1.0, -0.2, 1.7, float("nan")):
         with pytest.raises(NumericError):
             marginal_quantile_1d(view, u)
+        for target in (TWO_ATOM, STD_GAUSS, GMM3):  # step, closed form, Newton
+            with pytest.raises(NumericError):
+                target_quantiles_1d(target, [0.5, u])
 
 
 def test_cdf_needs_1d():
