@@ -7,11 +7,11 @@ of the offending field, which the CLI relays verbatim on exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .consistency_oracle import (
     ConsistencyFn,
-    PfOdeSolverConfig,
     exact_single_gaussian,
     exact_two_point,
     pf_ode_consistency,
@@ -114,26 +114,31 @@ def build_schedule(node, path: str = "schedule") -> NoiseSchedule:
     )
 
 
+# The settings each estimator kind takes, besides ``estimator`` itself.
+_ESTIMATOR_FIELDS = {
+    "exact": (),
+    "pfode": ("ode_step",),
+    "quantile_perturbed": ("kappa",),
+}
+
+
 def build_estimator(
     node, target: Target, schedule: NoiseSchedule, path: str = "estimator"
 ) -> ConsistencyFn:
     node = _expect_mapping(node, path)
     kind = node.get("estimator")
+    if kind in _ESTIMATOR_FIELDS:
+        for key in node:
+            if key != "estimator" and key not in _ESTIMATOR_FIELDS[kind]:
+                raise ConfigError(
+                    f"{path}.{key}: unknown field for estimator {kind!r}"
+                )
     try:
         if kind == "exact":
             return exact_reference(target, schedule)
         if kind == "pfode":
             step = _get_number(node, "ode_step", path, default=1e-3)
-            floor = _get_number(node, "ode_floor", path, default=1e-6)
-            snap = node.get("snap_to_atom")
-            if snap is not None and not isinstance(snap, bool):
-                raise ConfigError(f"{path}.snap_to_atom: expected true/false")
-            return pf_ode_consistency(
-                target,
-                schedule,
-                PfOdeSolverConfig(step=step, min_time_floor=floor),
-                snap_to_atom=snap,
-            )
+            return pf_ode_consistency(target, schedule, step)
         if kind == "quantile_perturbed":
             kappa = _get_number(node, "kappa", path, default=1e-4)
             return quantile_perturbed(target, schedule, kappa=kappa)
@@ -284,9 +289,27 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    def finite(parse):
+        # Rejects JSON's NaN and Infinity, and literals beyond the float
+        # range such as 1e400, before any of them reaches the arithmetic.
+        def parse_finite(token: str):
+            if not math.isfinite(float(token)):
+                raise ConfigError(
+                    f"config: number {token} in {path} is NaN or outside "
+                    "the float range"
+                )
+            return parse(token)
+
+        return parse_finite
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(
+                fh,
+                parse_constant=finite(float),
+                parse_float=finite(float),
+                parse_int=finite(int),
+            )
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -2,22 +2,18 @@
 
 Every Monte Carlo operation splits its sample budget into ``N_CHUNKS`` fixed
 chunks with child seeds derived from the user seed via
-``numpy.random.SeedSequence.spawn``.  The chunk layout never depends on the
-worker count, so results are bit-identical whether chunks run sequentially
-or on a thread pool.
+``numpy.random.SeedSequence.spawn``, so results are bit-identical for a
+given seed.
 
-``map_chunks`` runs whole per-chunk computations, on a thread pool of at
-most ``CMLAB_THREADS`` workers; the Monte Carlo evaluators
-(``consistency_loss``, ``evaluation_error``) and ``sample_marginal`` use it.
-The multistep sampler only takes the chunk generators from ``chunk_rngs``
-and makes one batched consistency-function call per stage, so
-``CMLAB_THREADS`` does not affect it.
+``map_chunks`` runs whole per-chunk computations one after another, in
+chunk order; the Monte Carlo evaluators (``consistency_loss``,
+``evaluation_error``) and ``sample_marginal`` use it.  The multistep
+sampler only takes the chunk generators from ``chunk_rngs`` and makes one
+batched consistency-function call per stage.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,48 +23,25 @@ import numpy as np
 N_CHUNKS = 16
 
 
-def worker_count() -> int:
-    """Worker cap from the CMLAB_THREADS environment variable (default 1)."""
-    raw = os.environ.get("CMLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(k, N_CHUNKS))
+def chunk_sizes(n: int) -> list[int]:
+    base, extra = divmod(int(n), N_CHUNKS)
+    return [base + (1 if i < extra else 0) for i in range(N_CHUNKS)]
 
 
-def chunk_sizes(n: int, n_chunks: int = N_CHUNKS) -> list[int]:
-    base, extra = divmod(int(n), n_chunks)
-    return [base + (1 if i < extra else 0) for i in range(n_chunks)]
-
-
-def chunk_rngs(seed, n_chunks: int = N_CHUNKS) -> list[np.random.Generator]:
+def chunk_rngs(seed) -> list[np.random.Generator]:
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
     else:
         seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n_chunks)]
+    return [np.random.default_rng(child) for child in seq.spawn(N_CHUNKS)]
 
 
 def map_chunks(fn, n: int, seed) -> list:
-    """Run ``fn(rng, size, chunk_index)`` over all chunks, in chunk order.
-
-    The returned list is ordered by chunk index regardless of completion
-    order, which is what makes threaded runs reproducible.
-    """
-    sizes = chunk_sizes(n)
-    rngs = chunk_rngs(seed)
-    workers = worker_count()
-    if workers == 1:
-        return [fn(rng, m, i) for i, (rng, m) in enumerate(zip(rngs, sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fn, rng, m, i)
-            for i, (rng, m) in enumerate(zip(rngs, sizes))
-        ]
-        return [f.result() for f in futures]
+    """Run ``fn(rng, size, chunk_index)`` over all chunks, in chunk order."""
+    return [
+        fn(rng, m, i)
+        for i, (rng, m) in enumerate(zip(chunk_rngs(seed), chunk_sizes(n)))
+    ]
 
 
 @dataclass(frozen=True, slots=True)

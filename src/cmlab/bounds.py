@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError
 from .noise_schedule import NoiseSchedule, contraction
-from .sampler import SamplingTimeSchedule
+from .sampler import SamplingTimeSchedule, _two_step_ou_times
 
 __all__ = [
     "BoundInputs",
@@ -119,6 +119,14 @@ class W2BoundBreakdown:
     term_iii: float
 
 
+def _w2_bound(inputs: BoundInputs, prefactor: float, term_i: float) -> W2BoundBreakdown:
+    """``prefactor * (term_i + sum_j ...)^(1/4) + tau_N * r``."""
+    term_ii = _evaluation_error_sum(inputs, 4.0, inputs.taus.n_steps)
+    term_iii = inputs.tau_n * inputs.eps_over_delta
+    total = prefactor * (term_i + term_ii) ** 0.25 + term_iii
+    return W2BoundBreakdown(total, term_i, term_ii, term_iii)
+
+
 def w2_bound_general(inputs: BoundInputs) -> W2BoundBreakdown:
     """General bounded-support W2 bound.
 
@@ -127,10 +135,7 @@ def w2_bound_general(inputs: BoundInputs) -> W2BoundBreakdown:
     inputs._require("radius")
     _, a2, s2 = _schedule_values(inputs)
     term_i = a2[0] * inputs.radius**2 / (4.0 * s2[0])
-    term_ii = _evaluation_error_sum(inputs, 4.0, inputs.taus.n_steps)
-    term_iii = inputs.tau_n * inputs.eps_over_delta
-    total = 2.0 * inputs.radius * (term_i + term_ii) ** 0.25 + term_iii
-    return W2BoundBreakdown(total, term_i, term_ii, term_iii)
+    return _w2_bound(inputs, 2.0 * inputs.radius, term_i)
 
 
 def w2_bound_modified(inputs: BoundInputs) -> W2BoundBreakdown:
@@ -144,10 +149,7 @@ def w2_bound_modified(inputs: BoundInputs) -> W2BoundBreakdown:
     inputs._require("diameter", "second_moment")
     _, a2, s2 = _schedule_values(inputs)
     term_i = a2[0] * inputs.second_moment / (2.0 * s2[0])
-    term_ii = _evaluation_error_sum(inputs, 4.0, inputs.taus.n_steps)
-    term_iii = inputs.tau_n * inputs.eps_over_delta
-    total = inputs.diameter * (term_i + term_ii) ** 0.25 + term_iii
-    return W2BoundBreakdown(total, term_i, term_ii, term_iii)
+    return _w2_bound(inputs, inputs.diameter, term_i)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,13 +253,6 @@ class TwoStepLeadingTerms:
 
 
 def two_step_ou_leading_terms(radius: float, eps: float, delta: float) -> TwoStepLeadingTerms:
-    if radius <= 0 or eps <= 0 or delta <= 0:
-        raise NumericError("radius, eps, delta must all be positive")
-    if eps / delta >= radius:
-        raise NumericError("invalid regime: eps/delta must be < radius")
+    tau1, tau2 = _two_step_ou_times(radius, eps, delta)
     r = eps / delta
-    tau1 = 3.0 * math.log(radius) + 2.0 * math.log(delta) - 2.0 * math.log(eps)
-    tau2 = 2.0 * math.log(radius) + math.log(delta) - math.log(eps)
-    if tau2 <= 0:
-        raise NumericError("invalid regime: two-step leading term is not positive")
     return TwoStepLeadingTerms(one_step=tau1 * r, two_step=tau2 * r)

@@ -13,10 +13,6 @@ Three subcommands:
 * ``cmlab bounds --config FILE`` — bound tables only; no sampling, no RNG.
 
 Exit codes: 0 success, 2 config error, 3 numeric/precondition error.
-The env var ``CMLAB_THREADS`` caps the worker threads of the Monte Carlo
-evaluators, which here means the measured ``eps/delta`` of ``experiment``;
-the sampler and the W2 coupling run in one thread.  It never changes
-results, only how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from ._config import (
     exact_reference,
     load_experiment_config,
 )
-from ._rng import worker_count
 from .bounds import (
     BoundInputs,
     kl_bound,
@@ -142,6 +137,35 @@ def measure_eps_over_delta(
     return math.sqrt(max(est.value, 0.0)) / t
 
 
+def _stage_bound_inputs(
+    target,
+    schedule,
+    taus: SamplingTimeSchedule,
+    eps_over_delta: float,
+    sigma_eps: float | None = None,
+    **tail,
+) -> list[BoundInputs]:
+    """The bound inputs of each stage ``i``: the schedule truncated to its
+    first ``i`` times and the target's geometry.  ``tail`` takes the
+    ``tail_*`` fields of :class:`~cmlab.bounds.BoundInputs`."""
+    geo = geometry(target)
+    return [
+        BoundInputs(
+            schedule=schedule,
+            taus=taus.truncated(i),
+            eps_over_delta=eps_over_delta,
+            radius=geo.radius,
+            diameter=geo.diameter,
+            second_moment=geo.second_moment,
+            d=target.dim,
+            smoothness=geo.log_smoothness,
+            sigma_eps=sigma_eps,
+            **tail,
+        )
+        for i in range(1, taus.n_steps + 1)
+    ]
+
+
 def _stage_rows(
     label: str,
     record,
@@ -156,23 +180,15 @@ def _stage_rows(
     ``quantiles`` are the run's :func:`~cmlab.metrics.coupling_quantiles`,
     shared by every stage.
     """
-    geo = geometry(target)
     rows = []
     taus = record.taus
-    for i in range(1, taus.n_steps + 1):
+    stage_inputs = _stage_bound_inputs(
+        target, schedule, taus, eps_over_delta,
+        tv_info["sigma_eps"] if tv_info else None,
+    )
+    for i, inputs in enumerate(stage_inputs, start=1):
         tau_i = taus.taus[i - 1]
         w2, proxy = _coupling_w2(record.denoised[i - 1], quantiles)
-        inputs = BoundInputs(
-            schedule=schedule,
-            taus=taus.truncated(i),
-            eps_over_delta=eps_over_delta,
-            radius=geo.radius,
-            diameter=geo.diameter,
-            second_moment=geo.second_moment,
-            d=target.dim,
-            smoothness=geo.log_smoothness,
-            sigma_eps=tv_info["sigma_eps"] if tv_info else None,
-        )
         tv_value = tv_bound_value = None
         if tv_info is not None:
             tv_value = tv_info["tv_of_stage"](i)
@@ -240,8 +256,7 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
 
     print("reproduce-sim: two equal-weight atoms {0, 100}, OU forward process,")
     print("quantile-perturbed estimator (kappa = 1e-4, eps/delta = 1), delta = 1.")
-    print(f"n = {n} samples per schedule, seed = {seed}, "
-          f"threads = {worker_count()} (results are thread-count invariant).")
+    print(f"n = {n} samples per schedule, seed = {seed}.")
     print()
     _print_rows(all_rows)
     print()
@@ -392,21 +407,11 @@ def cmd_bounds(config_path: str) -> int:
         + (" (effective support)" if geo.effective else "")
     )
     print(header)
-    for i in range(1, cfg.taus.n_steps + 1):
-        inputs = BoundInputs(
-            schedule=cfg.schedule,
-            taus=cfg.taus.truncated(i),
-            eps_over_delta=eps_over_delta,
-            radius=geo.radius,
-            diameter=geo.diameter,
-            second_moment=geo.second_moment,
-            d=cfg.target.dim,
-            smoothness=geo.log_smoothness,
-            sigma_eps=sigma_eps,
-            tail_c=cfg.tail_c,
-            tail_big_c=cfg.tail_big_c,
-            tail_coeff=cfg.tail_coeff,
-        )
+    stage_inputs = _stage_bound_inputs(
+        cfg.target, cfg.schedule, cfg.taus, eps_over_delta, sigma_eps,
+        tail_c=cfg.tail_c, tail_big_c=cfg.tail_big_c, tail_coeff=cfg.tail_coeff,
+    )
+    for i, inputs in enumerate(stage_inputs, start=1):
         line = (
             f"{i:>5} {cfg.taus.taus[i - 1]:>10.5g} "
             f"{w2_bound_general(inputs).total:>12.6g} "

@@ -10,7 +10,7 @@ provides:
   Gaussian target (the reverse ODE is linear there);
 * ``pf_ode_consistency`` — a numerically integrated oracle running the
   probability-flow ODE ``dx/ds = h(s) x - 0.5 g2(s) * score_s(x)`` backward
-  with fixed-step RK4 to a small positive time floor;
+  with fixed-step RK4 to the small positive time floor ``1e-6``;
 * ``quantile_perturbed`` — a deliberately miscalibrated threshold estimator
   whose decision boundary sits at the ``0.5 + kappa * t**2`` quantile of the
   true marginal, giving a mean squared evaluation error of exactly
@@ -46,7 +46,6 @@ from .target_dist import (
 
 __all__ = [
     "ConsistencyFn",
-    "PfOdeSolverConfig",
     "exact_two_point",
     "exact_single_gaussian",
     "pf_ode_consistency",
@@ -59,27 +58,17 @@ __all__ = [
 
 _MAX_ODE_STEPS = 10**8
 
+# The PF-ODE consistency function integrates down to this time rather than
+# 0, clear of the singular score of atomic targets at vanishing noise.
+_TIME_FLOOR = 1e-6
 
-@dataclass(frozen=True, slots=True)
-class PfOdeSolverConfig:
-    """Fixed-step RK4 settings for the probability-flow ODE.
 
-    Integration stops at ``min_time_floor`` rather than 0 to stay clear of
-    the singular behaviour of the score for atomic targets at vanishing
-    noise; for those targets the endpoint is optionally snapped to the
-    nearest atom.
-    """
-
-    step: float = 1e-3
-    min_time_floor: float = 1e-6
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step!r}")
-        if not self.min_time_floor > 0:
-            raise ValueError(
-                f"min_time_floor must be > 0, got {self.min_time_floor!r}"
-            )
+def _check_step(step) -> float:
+    """The RK4 step bound as a float; it must be finite and > 0."""
+    step = float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    return step
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -249,11 +238,11 @@ def pf_ode_transport(
     x,
     t_from: float,
     t_to: float,
-    cfg: PfOdeSolverConfig = PfOdeSolverConfig(),
+    step: float = 1e-3,
 ) -> np.ndarray:
     """Advance points along the probability-flow ODE from ``t_from`` to ``t_to``.
 
-    Fixed-step classical RK4 with substep size at most ``cfg.step`` (the
+    Fixed-step classical RK4 with substep size at most ``step`` (the
     interval is divided into equal substeps, so the endpoint is hit
     exactly).  Works in either time direction.  The projection of score
     queries happens inside each field evaluation (see
@@ -262,10 +251,11 @@ def pf_ode_transport(
 
     Starting *forward* from exactly ``t = 0`` with an atomic target is
     singular (the zero-noise marginal has no density); in that case each
-    point is first moved to ``(cfg.min_time_floor, alpha_floor * x)``, the
-    mean continuation of its own conditional trajectory, which is exact for
+    point is first moved to ``(1e-6, alpha(1e-6) * x)``, the mean
+    continuation of its own conditional trajectory, which is exact for
     points sitting on atoms.
     """
+    step = _check_step(step)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = (x[:, None] if squeeze else x).copy()
@@ -279,12 +269,12 @@ def pf_ode_transport(
                 "solver floor instead"
             )
         if t_from == 0.0:
-            t_from = cfg.min_time_floor
+            t_from = _TIME_FLOOR
             pts = pts * float(schedule.alpha(t_from))
     if t_from == t_to:
         return pts[:, 0] if squeeze else pts
     span = t_to - t_from
-    n_steps = int(math.ceil(abs(span) / cfg.step))
+    n_steps = int(math.ceil(abs(span) / step))
     if n_steps > _MAX_ODE_STEPS:
         raise NumericError(
             f"RK4 step count {n_steps} exceeds the {_MAX_ODE_STEPS} limit"
@@ -320,30 +310,24 @@ def pf_ode_transport(
 
 
 def pf_ode_consistency(
-    target,
-    schedule: NoiseSchedule,
-    cfg: PfOdeSolverConfig = PfOdeSolverConfig(),
-    snap_to_atom: bool | None = None,
+    target, schedule: NoiseSchedule, step: float = 1e-3
 ) -> ConsistencyFn:
     """Consistency function computed by integrating the reverse ODE.
 
-    Integration runs from ``t`` down to ``cfg.min_time_floor``.  For atomic
-    targets the endpoint is snapped to the nearest atom by default, which
-    absorbs the accumulated error of the (deliberately simple) fixed-step
-    scheme in the stiff final stretch near zero noise.
+    RK4 with steps of at most ``step`` runs from ``t`` down to the time
+    floor ``1e-6``.  For atomic targets the endpoint is snapped to the
+    nearest atom, which absorbs the accumulated error of the (deliberately
+    simple) fixed-step scheme in the stiff final stretch near zero noise.
     """
+    step = _check_step(step)
     discrete = isinstance(target, DiscreteTarget)
-    if snap_to_atom is None:
-        snap_to_atom = discrete
-    if snap_to_atom and not discrete:
-        raise NumericError("snap_to_atom only makes sense for atomic targets")
     geo = geometry(target)
     radius = geo.radius if discrete else math.inf
     locations = target.locations if discrete else None
 
     def fn(x, t):
-        out = pf_ode_transport(target, schedule, x, t, cfg.min_time_floor, cfg)
-        if snap_to_atom:
+        out = pf_ode_transport(target, schedule, x, t, _TIME_FLOOR, step)
+        if discrete:
             dists = np.linalg.norm(
                 out[:, None, :] - locations[None, :, :], axis=2
             )
@@ -415,14 +399,15 @@ def consistency_loss(
     i: int,
     n: int,
     seed,
-    cfg: PfOdeSolverConfig = PfOdeSolverConfig(),
+    step: float = 1e-3,
 ) -> MonteCarloEstimate:
     """Monte Carlo per-step self-consistency loss at partition step ``i``.
 
     Estimates ``E_{x ~ p_{t_i}} | fhat(x, t_i) - fhat(phi(t_{i+1}; x, t_i),
     t_{i+1}) |^2`` where ``phi`` advances the probability-flow ODE one
-    partition step forward in time.
+    partition step forward in time, by RK4 with steps of at most ``step``.
     """
+    step = _check_step(step)
     if not 0 <= i <= partition.m - 1:
         raise NumericError(f"step index {i} outside 0..{partition.m - 1}")
     t_i = partition.time_of(i)
@@ -435,7 +420,7 @@ def consistency_loss(
             return 0.0, 0.0, 0
         x = _sample_mixture(rng, means, variances, weights, m)
         here = fhat(x, t_i)
-        moved = pf_ode_transport(target, schedule, x, t_i, t_next, cfg)
+        moved = pf_ode_transport(target, schedule, x, t_i, t_next, step)
         there = fhat(moved, t_next)
         return chunk_moments(np.sum((here - there) ** 2, axis=1))
 

@@ -118,8 +118,7 @@ def multistep_sample(
     chunk draws its noise from its own child generator, stage after stage,
     into its slice of one ``(n, d)`` noisy slab, reused by every stage.
     Every stage then makes one consistency-function call on all ``n``
-    rows.  The result is deterministic for a given seed; the sampler starts
-    no threads, so ``CMLAB_THREADS`` does not affect it.
+    rows.  The result is deterministic for a given seed.
     """
     if n < 1:
         raise NumericError(f"n must be >= 1, got {n}")
@@ -144,14 +143,10 @@ def _round_to_grid(t: float, delta: float) -> int:
     return int(math.floor(t / delta + 0.5))
 
 
-def design_two_step_ou(radius: float, eps: float, delta: float) -> SamplingTimeSchedule:
-    """Two-step schedule tuned for the Ornstein-Uhlenbeck process.
-
-    ``tau_1 = log(R^3 delta^2 / eps^2)`` and ``tau_2 = log(R^2 delta / eps)``,
-    rounded onto the training partition.  Requires ``eps/delta < R`` (the
-    regime where the estimator's evaluation error is meaningful relative to
-    the support radius).
-    """
+def _two_step_ou_times(radius: float, eps: float, delta: float) -> tuple[float, float]:
+    """The designed OU times ``log(R^3 delta^2 / eps^2)`` and
+    ``log(R^2 delta / eps)`` before rounding, in the regime where both
+    are positive."""
     if radius <= 0 or eps <= 0 or delta <= 0:
         raise NumericError("radius, eps, delta must all be positive")
     ratio = eps / delta
@@ -163,6 +158,18 @@ def design_two_step_ou(radius: float, eps: float, delta: float) -> SamplingTimeS
     tau2 = 2.0 * math.log(radius) + math.log(delta) - math.log(eps)
     if tau2 <= 0:
         raise NumericError(f"invalid regime: tau_2 = {tau2} is not positive")
+    return tau1, tau2
+
+
+def design_two_step_ou(radius: float, eps: float, delta: float) -> SamplingTimeSchedule:
+    """Two-step schedule tuned for the Ornstein-Uhlenbeck process.
+
+    ``tau_1 = log(R^3 delta^2 / eps^2)`` and ``tau_2 = log(R^2 delta / eps)``,
+    rounded onto the training partition.  Requires ``eps/delta < R`` (the
+    regime where the estimator's evaluation error is meaningful relative to
+    the support radius).
+    """
+    tau1, tau2 = _two_step_ou_times(radius, eps, delta)
     i1 = _round_to_grid(tau1, delta)
     i2 = _round_to_grid(tau2, delta)
     if i2 < 1:

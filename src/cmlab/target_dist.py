@@ -481,8 +481,8 @@ def _sample_mixture(rng, means, variances, weights, m: int) -> np.ndarray:
 def sample_marginal(view: MarginalView, n: int, seed) -> np.ndarray:
     """Draw ``n`` exact samples from the time-``t`` marginal.
 
-    Deterministic for a given seed, and independent of the worker count:
-    the budget is split into fixed chunks with derived sub-seeds.
+    Deterministic for a given seed: the budget is split into fixed chunks
+    with derived sub-seeds, drawn in chunk order.
     """
     if n < 1:
         raise NumericError(f"n must be >= 1, got {n}")

@@ -39,14 +39,6 @@ def test_reproduce_sim_csv_shape_and_determinism(tmp_path):
     assert run_sim(tmp_path, "b.csv") == data
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("CMLAB_THREADS", "1")
-    one = run_sim(tmp_path, "threads1.csv")
-    monkeypatch.setenv("CMLAB_THREADS", "4")
-    four = run_sim(tmp_path, "threads4.csv")
-    assert one == four
-
-
 def test_reproduce_sim_summary_line(tmp_path, capsys):
     run_sim(tmp_path, "c.csv")
     stdout = capsys.readouterr().out
@@ -77,6 +69,59 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     rc = main(["experiment", "--config", str(cfg)])
     assert rc == 2
     assert "typo_field" in capsys.readouterr().err
+
+
+def _two_atom_config(tmp_path, name, field, raw_value):
+    """A small two-atom OU config whose ``field`` holds the JSON text
+    ``raw_value`` verbatim."""
+    config = {
+        "target": {"type": "discrete", "atoms": [[0.0, 0.5], [100.0, 0.5]]},
+        "schedule": "ou",
+        "eps_over_delta": 1.0,
+        "sampling": {"schedule_design": "explicit", "taus": [2.0], "n": 100},
+        "out": str(tmp_path / "out.csv"),
+        field: None,
+    }
+    path = tmp_path / name
+    path.write_text(
+        json.dumps(config).replace(f'"{field}": null', f'"{field}": {raw_value}')
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, field, raw_value",
+    [
+        ("experiment", "estimator", '{"estimator": "pfode", "ode_step": Infinity}'),
+        ("experiment", "sampling", '{"schedule_design": "halving_ve", "T": Infinity}'),
+        ("experiment", "sampling",
+         '{"schedule_design": "two_step_ou", "R": Infinity, "eps": 1.0}'),
+        ("bounds", "eps_over_delta", "NaN"),
+        ("bounds", "delta", "1e400"),
+        ("bounds", "delta", "1" + "0" * 400),
+    ],
+    ids=["ode_step", "T", "R", "eps_over_delta", "overflow", "overflow_int"],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, command, field, raw_value):
+    path = _two_atom_config(tmp_path, "nonfinite.json", field, raw_value)
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "estimator, key",
+    [
+        ({"estimator": "pfode", "ode_floor": 1e-6}, "ode_floor"),
+        ({"estimator": "pfode", "snap_to_atom": True}, "snap_to_atom"),
+        ({"estimator": "quantile_perturbed", "ode_step": 0.01}, "ode_step"),
+        ({"estimator": "exact", "kappa": 1e-4}, "kappa"),
+    ],
+    ids=["ode_floor", "snap_to_atom", "ode_step", "kappa"],
+)
+def test_unknown_estimator_field_exits_2(tmp_path, capsys, estimator, key):
+    path = _two_atom_config(tmp_path, "stale.json", "estimator", json.dumps(estimator))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert f"config error: estimator.{key}:" in capsys.readouterr().err
 
 
 def test_bounds_rejects_measured_rate(tmp_path, capsys):

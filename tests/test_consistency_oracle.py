@@ -12,7 +12,6 @@ from cmlab import (
     GaussianMixtureTarget,
     MarginalView,
     NumericError,
-    PfOdeSolverConfig,
     TrainingPartition,
     consistency_loss,
     drift_diffusion,
@@ -36,10 +35,11 @@ GAP2 = 100.0**2
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        PfOdeSolverConfig(step=0.0)
-    with pytest.raises(ValueError):
-        PfOdeSolverConfig(min_time_floor=-1e-6)
+    for step in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            pf_ode_consistency(TWO_ATOM, OU, step=step)
+        with pytest.raises(ValueError):
+            pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=step)
     with pytest.raises(ValueError):
         ConsistencyFn(fn=lambda x, t: x, output_radius=-1.0, kind="Bad")
 
@@ -191,9 +191,8 @@ def test_pf_ode_transport_noop():
 
 
 def test_pf_ode_step_cap():
-    cfg = PfOdeSolverConfig(step=1e-12)
     with pytest.raises(NumericError):
-        pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, cfg)
+        pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=1e-12)
 
 
 def _reference_field(target, schedule, s, y):
@@ -336,10 +335,9 @@ def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
     want_field = _allocating_field(target, schedule, grid)
     for j in range(grid.size):
         np.testing.assert_array_equal(field(j, y), want_field(j, y))
-    cfg = PfOdeSolverConfig(step=0.05)
     for t_from, t_to in ((2.0, 0.05), (0.3, 1.2)):
-        got = pf_ode_transport(target, schedule, y, t_from, t_to, cfg)
-        want = _allocating_transport(target, schedule, y, t_from, t_to, cfg.step)
+        got = pf_ode_transport(target, schedule, y, t_from, t_to, step=0.05)
+        want = _allocating_transport(target, schedule, y, t_from, t_to, 0.05)
         np.testing.assert_array_equal(got, want)
 
 
@@ -384,12 +382,6 @@ def test_pf_ode_field_underflow_raises():
         field(0, np.array([[-1e6]]))
     with pytest.raises(NumericError):
         pf_ode_transport(faint, ve, np.array([-1e6]), 0.5, 0.4)
-
-
-def test_snap_to_atom_requires_atoms():
-    gauss = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
-    with pytest.raises(NumericError):
-        pf_ode_consistency(gauss, OU, snap_to_atom=True)
 
 
 # ---------------------------------------------------------------------------

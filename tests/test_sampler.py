@@ -10,7 +10,6 @@ from cmlab import (
     DiscreteTarget,
     GaussianMixtureTarget,
     NumericError,
-    PfOdeSolverConfig,
     SamplingTimeSchedule,
     affine_stage_laws,
     design_halving_ve,
@@ -145,7 +144,7 @@ _ORACLES = {
     "threshold": (lambda: exact_two_point(TWO_ATOM, OU), OU, (14.0, 9.0, 3.0)),
     "quantile_perturbed": (lambda: quantile_perturbed(TWO_ATOM, OU), OU, (14.0, 7.0, 4.0, 1.0)),
     "affine": (lambda: exact_single_gaussian(_GAUSS, OU), OU, (4.0, 2.0, 1.0, 0.5)),
-    "pf_ode": (lambda: pf_ode_consistency(_GMM3, make_ve(), PfOdeSolverConfig(step=0.05)),
+    "pf_ode": (lambda: pf_ode_consistency(_GMM3, make_ve(), step=0.05),
                make_ve(), (2.0, 0.5)),
 }
 
@@ -163,7 +162,7 @@ def test_batched_stages_match_chunk_major_reference(oracle, n):
     np.testing.assert_array_equal(rec.denoised, denoised)
 
 
-def test_one_oracle_call_per_stage(monkeypatch):
+def test_one_oracle_call_per_stage():
     calls = []
 
     def fn(pts, t):
@@ -171,7 +170,6 @@ def test_one_oracle_call_per_stage(monkeypatch):
         return 0.5 * pts
 
     taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
-    monkeypatch.setenv("CMLAB_THREADS", "4")
     f, rec_noisy = _recording(wrap_fn(fn))
     rec = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
     assert calls == [(t, (1001, 2)) for t in taus.taus]
