@@ -7,9 +7,14 @@ given seed.
 
 ``map_chunks`` runs whole per-chunk computations one after another, in
 chunk order; the Monte Carlo evaluators (``consistency_loss``,
-``evaluation_error``) and ``sample_marginal`` use it.  The multistep
-sampler only takes the chunk generators from ``chunk_rngs`` and makes one
-batched consistency-function call per stage.
+``evaluation_error``) and ``sample_marginal`` use it.  Their per-chunk
+work is many small numpy calls that hold the interpreter lock, so threads
+would only contend for it.  The multistep sampler takes the chunk
+generators from ``chunk_rngs`` and fills each stage's noise in lanes of
+chunks, one thread per usable CPU: a bulk ``standard_normal`` fill and
+elementwise arithmetic on disjoint rows, which release the lock and give
+the same bits for any lane count.  It then makes one batched
+consistency-function call per stage.
 """
 
 from __future__ import annotations

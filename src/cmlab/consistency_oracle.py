@@ -113,6 +113,8 @@ def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
     underflows."""
     if not np.isfinite(radius):
         return y
+    if y.shape[1] == 1 and y.size and y.max() <= radius and y.min() >= -radius:
+        return y  # every row within the radius; NaN fails both tests
     norms = np.abs(y[:, 0]) if y.shape[1] == 1 else np.linalg.norm(y, axis=1)
     over = np.flatnonzero(norms > radius)
     if over.size == 0:
@@ -120,6 +122,15 @@ def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
     y = y.copy()
     y[over] *= (radius / norms[over])[:, None]
     return y
+
+
+def _threshold(x: np.ndarray, a: float, lo: float, hi: float) -> np.ndarray:
+    """``lo`` where ``x < a``, else ``hi`` (NaN included): ``np.where(x < a,
+    lo, hi)``, but as a gather from ``[hi, lo]`` indexed by the comparison,
+    written straight out as index integers.  On unordered points, such as a
+    sampler stage's, this runs in about half ``where``'s time."""
+    index = np.less(x, a, out=np.empty(x.shape, np.intp), casting="unsafe")
+    return np.take([hi, lo], index)
 
 
 def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
@@ -148,7 +159,7 @@ def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> Consiste
         return mid * float(schedule.alpha(t))
 
     def fn(x, t):
-        return np.where(x < boundary(t), lo, hi)
+        return _threshold(x, boundary(t), lo, hi)
 
     return ConsistencyFn(
         fn=fn,
@@ -369,8 +380,7 @@ def quantile_perturbed(
         return marginal_quantile_1d(MarginalView(target, schedule, t), u)
 
     def fn(x, t):
-        a_t = boundary(t)
-        return np.where(x < a_t, lo, hi)
+        return _threshold(x, boundary(t), lo, hi)
 
     return ConsistencyFn(
         fn=fn,

@@ -69,6 +69,24 @@ def coupling_quantiles(target: Target, n: int) -> np.ndarray:
     return target_quantiles_1d(target, u)
 
 
+def _two_point_split(s: np.ndarray, quantiles: np.ndarray):
+    """``(p_hat, gap^2)`` of sorted samples ``s`` with at most two distinct
+    values, or None.  ``p_hat`` is the share of the upper value; one-valued
+    samples take the spread of the outermost coupling quantiles.
+
+    Sorting puts NaN last and NaN equals nothing, so a sample holding a NaN
+    (with n > 1) gets None, and its proxy is NaN on the general branch.
+    """
+    n = s.size
+    lo, hi = s[0], s[-1]
+    if lo == hi or n == 1:
+        return 0.0, float((quantiles[-1] - quantiles[0]) ** 2)
+    n_lo = int(np.searchsorted(s, lo, side="right"))
+    if n_lo < n and s[n_lo] == hi:
+        return (n - n_lo) / n, float((hi - lo) ** 2)
+    return None
+
+
 def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
     """W2 against the target and its stderr proxy, from one sort.
 
@@ -84,17 +102,13 @@ def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
         raise NumericError(
             f"{quantiles.shape} coupling quantiles for {n} samples"
         )
-    diff = s - quantiles
-    sq = diff * diff
+    sq = np.subtract(s, quantiles)
+    sq *= sq
     w2_sq = float(np.mean(sq))
     w2 = math.sqrt(w2_sq)
-    n_distinct = 1 + int(np.count_nonzero(s[1:] != s[:-1]))
-    if n_distinct <= 2:
-        if n_distinct == 2:
-            p_hat = np.count_nonzero(s == s[-1]) / n
-            gap_sq = float((s[-1] - s[0]) ** 2)
-        else:
-            p_hat, gap_sq = 0.0, float((quantiles[-1] - quantiles[0]) ** 2)
+    split = _two_point_split(s, quantiles)
+    if split is not None:
+        p_hat, gap_sq = split
         # 1/n floor keeps the proxy nonzero when p_hat lands on 0 or 1
         spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
         se_sq = gap_sq * float(np.sqrt(spread / n))

@@ -131,13 +131,22 @@ def make_ve() -> NoiseSchedule:
     return NoiseSchedule(alpha, sigma2, drift, kind="ve")
 
 
+# A custom table is rejected when its interpolated g2 falls below
+# -_G2_RTOL times its largest |g2| at the tabulated times and midpoints.
+# The interpolants' own error is far smaller: a 2001-point table of the OU
+# schedule reads g2 - 2 = -1.7e-5 at t = 0.
+_G2_RTOL = 1e-3
+
+
 def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
     """Schedule from tabulated values, interpolated with a monotone cubic.
 
     The table must start at ``t = 0`` with ``alpha = 1`` and ``sigma2 = 0``,
     keep ``alpha`` positive, and keep ``sigma2`` nondecreasing.  The drift
     ``h = alpha'/alpha``, ``g2 = sigma2' - 2 h sigma2`` uses the exact
-    derivatives of the two interpolants.
+    derivatives of the two interpolants, and ``g2`` must not go negative
+    at the tabulated times or their midpoints (up to a relative ``1e-3``
+    allowance for interpolation error).
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha_values, dtype=float)
@@ -165,6 +174,15 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
         h = dalpha_i(x) / alpha_i(x)
         return h, dsigma2_i(x) - 2.0 * h * sigma2_i(x)
 
+    checks = np.concatenate([t, 0.5 * (t[:-1] + t[1:])])
+    g2 = np.asarray(drift(checks)[1])
+    if np.min(g2) < -_G2_RTOL * np.max(np.abs(g2)):
+        k = int(np.argmin(g2))
+        raise ValueError(
+            f"interpolated diffusion g2 = {float(g2[k])!r} < 0 at "
+            f"t = {float(checks[k])!r}: "
+            "sigma2 must grow at least as fast as 2 h sigma2"
+        )
     return NoiseSchedule(alpha_i, sigma2_i, drift, kind="custom", t_max=float(t[-1]))
 
 

@@ -28,11 +28,12 @@ compare empirical distances against analytic ones.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import chunk_rngs, chunk_sizes
+from ._rng import N_CHUNKS, chunk_rngs, chunk_sizes
 from .consistency_oracle import ConsistencyFn
 from .errors import NumericError
 from .noise_schedule import NoiseSchedule
@@ -117,25 +118,64 @@ def multistep_sample(
     The ``n`` rows are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
     into its slice of one ``(n, d)`` noisy slab, reused by every stage.
+    The chunks are dealt into lanes, one per usable CPU, and the lanes
+    draw, scale and re-centre their chunks' rows in parallel threads
+    (numpy releases the interpreter lock in all three); the previous
+    stage's ``alpha x0`` is written into this stage's own ``denoised`` slot
+    first, so no temporary is allocated.  The arithmetic is elementwise on
+    disjoint rows, so the result is bitwise the same for every lane count.
     Every stage then makes one consistency-function call on all ``n``
     rows.  The result is deterministic for a given seed.
     """
+    # Imported here: ``concurrent.futures.thread`` (with ``queue``) is the
+    # one part of the package that loading the CLI does not already pull in.
+    from concurrent.futures import ThreadPoolExecutor
+
     if n < 1:
         raise NumericError(f"n must be >= 1, got {n}")
     ts = taus.taus
-    rngs = chunk_rngs(seed)
     edges = np.cumsum([0] + chunk_sizes(n))
-    slices = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    chunks = [
+        (rng, slice(lo, hi))
+        for rng, lo, hi in zip(chunk_rngs(seed), edges[:-1], edges[1:])
+    ]
+    workers = _lane_count()
+    lanes = [chunks[k::workers] for k in range(workers)]
     x = np.empty((n, dim))
     denoised = np.empty((len(ts), n, dim))
-    for i, t in enumerate(ts):
-        for rng, rows in zip(rngs, slices):
-            rng.standard_normal(out=x[rows])
-        x *= math.sqrt(float(schedule.sigma2(t)))
-        if i > 0:
-            x += float(schedule.alpha(t)) * denoised[i - 1]
-        denoised[i] = fhat(x, t)
+
+    def renoise(lane, i, scale, alpha):
+        for rng, rows in lane:
+            noisy = rng.standard_normal(out=x[rows])
+            noisy *= scale
+            if i > 0:
+                shift = denoised[i, rows]
+                noisy += np.multiply(denoised[i - 1, rows], alpha, out=shift)
+
+    # The calling thread takes the first lane itself, so one usable CPU
+    # starts no thread and each stage waits on one handoff fewer.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for i, t in enumerate(ts):
+            scale = math.sqrt(float(schedule.sigma2(t)))
+            alpha = float(schedule.alpha(t))
+            futures = [
+                pool.submit(renoise, lane, i, scale, alpha) for lane in lanes[1:]
+            ]
+            renoise(lanes[0], i, scale, alpha)
+            for future in futures:
+                future.result()
+            denoised[i] = fhat(x, t)
     return TrajectoryRecord(taus=taus, denoised=denoised, seed=seed)
+
+
+def _lane_count() -> int:
+    """Noise-drawing lanes of :func:`multistep_sample`: one per CPU this
+    process may run on, at most one per chunk."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(N_CHUNKS, cpus))
 
 
 def _round_to_grid(t: float, delta: float) -> int:

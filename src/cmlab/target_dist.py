@@ -201,18 +201,24 @@ def _pulls(pts: np.ndarray, means: np.ndarray):
 
 def _log_normalize(logc: np.ndarray):
     """Log-sum-exp over the component axis of a ``(k, n)`` array of log
-    terms, together with the shifted exponentials ``e = exp(logc - max)``
-    and their sum ``s``, so that ``e / s`` are the responsibilities.
-    ``e`` is written over ``logc``, so a kernel pass allocates no new
-    ``(k, n)`` array here.  Reducing over the leading axis of a
-    component-major array runs as ``k`` row-wise vector operations."""
+    terms, split as the column maximum ``m``, the shifted exponentials
+    ``e = exp(logc - m)`` and their sum ``s``: the total is
+    :func:`_log_total` of ``(m, s)`` and ``e / s`` are the
+    responsibilities.  ``e`` is written over ``logc``, so a kernel pass
+    allocates no new ``(k, n)`` array here.  Reducing over the leading axis
+    of a component-major array runs as ``k`` row-wise vector operations."""
     m = logc.max(axis=0)
     with np.errstate(invalid="ignore"):
         logc -= m
         e = np.exp(logc, out=logc)
-        s = e.sum(axis=0)
-        total = np.where(np.isfinite(m), m + np.log(s), m)
-    return total, e, s
+    return m, e, e.sum(axis=0)
+
+
+def _log_total(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``log sum exp`` from the split of :func:`_log_normalize`; a column
+    whose maximum is infinite or NaN keeps it."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(m), m + np.log(s), m)
 
 
 def _mixture_score(pts: np.ndarray, mixture, cap: float | None = None):
@@ -251,8 +257,11 @@ def _mixture_score(pts: np.ndarray, mixture, cap: float | None = None):
     # again on every call.
     log_terms = np.multiply(z2, -0.5, out=sq)
     log_terms += _log_coefs(weights, variances, means.shape[1])[:, None]
-    total, resp, s = _log_normalize(log_terms)
-    if np.any(total < _LOG_PDF_FLOOR):
+    m, resp, s = _log_normalize(log_terms)
+    # ``s >= 1`` (its largest term is exp(0)), so the total is at least
+    # ``m`` and only columns with ``m`` under the floor can fall below it.
+    low = np.flatnonzero(m < _LOG_PDF_FLOOR)
+    if low.size and np.any(_log_total(m[low], s[low]) < _LOG_PDF_FLOOR):
         raise NumericError(
             "marginal density underflow while evaluating the score; "
             "clamp x or increase t"
@@ -295,7 +304,8 @@ def marginal_logpdf(view: MarginalView, x):
     logc = _log_coefs(weights, variances, view.dim)[:, None] - 0.5 * (
         sq / variances[:, None]
     )
-    logs, _, _ = _log_normalize(logc)
+    m, _, s = _log_normalize(logc)
+    logs = _log_total(m, s)
     return float(logs[0]) if scalar else logs
 
 

@@ -71,6 +71,20 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     assert "typo_field" in capsys.readouterr().err
 
 
+def test_negative_diffusion_schedule_exits_2(tmp_path, capsys):
+    table = tmp_path / "sched.csv"
+    table.write_text("t,alpha,sigma2\n0,1,0\n1,1.5,0.5\n2,2,0.5\n")
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({
+        "target": {"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
+        "schedule": {"csv": str(table)},
+        "sampling": {"schedule_design": "explicit", "taus": [1.0]},
+    }))
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    assert "g2" in capsys.readouterr().err
+
+
 def _two_atom_config(tmp_path, name, field, raw_value):
     """A small two-atom OU config whose ``field`` holds the JSON text
     ``raw_value`` verbatim."""

@@ -57,6 +57,23 @@ def test_exact_two_point_values():
     assert f.boundary(1.0) == pytest.approx(50.0 * math.exp(-1.0), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "make", [exact_two_point, quantile_perturbed], ids=["exact", "perturbed"]
+)
+@pytest.mark.parametrize("t", [0.5, 9.0])
+def test_threshold_gather_matches_where(make, t):
+    f = make(TWO_ATOM, OU)
+    a = f.boundary(t)
+    x = np.array(
+        [-math.inf, math.inf, math.nan, a, np.nextafter(a, -math.inf),
+         np.nextafter(a, math.inf), -a, 0.0, -0.0, 100.0]
+    )[:, None]
+    want = np.where(x < a, 0.0, 100.0)
+    for got in (f.fn(x, t), f(x, t)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_exact_two_point_requires_two_equal_atoms():
     with pytest.raises(NumericError):
         exact_two_point(DiscreteTarget([0.0, 100.0], [0.3, 0.7]), OU)
@@ -368,6 +385,45 @@ def test_clamp_norms_matches_row_scaling(d, radius):
     np.testing.assert_array_equal(y, before)  # the input is left alone
     inside = y[np.linalg.norm(y, axis=1) <= 2.5]
     assert _clamp_norms(inside, radius) is inside
+
+
+def _clamp_without_precheck(y, radius):
+    """The output clamp without its 1-D range pre-check."""
+    if not np.isfinite(radius):
+        return y
+    norms = np.abs(y[:, 0]) if y.shape[1] == 1 else np.linalg.norm(y, axis=1)
+    over = np.flatnonzero(norms > radius)
+    if over.size == 0:
+        return y
+    y = y.copy()
+    y[over] *= (radius / norms[over])[:, None]
+    return y
+
+
+_R = 2.5
+_ULP_OVER = np.nextafter(_R, math.inf)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [_R], [-_R], [_R, -_R, 0.0, -0.0],
+        [_ULP_OVER], [-_ULP_OVER], [_R, -_ULP_OVER],
+        [math.nan], [math.nan, _R], [math.nan, _ULP_OVER], [math.nan, -math.inf],
+        [math.inf], [],
+    ],
+    ids=lambda rows: repr(rows),
+)
+def test_clamp_precheck_matches_full_path(rows):
+    y = np.array(rows, dtype=float).reshape(-1, 1)
+    before = y.copy()
+    with np.errstate(invalid="ignore"):  # an infinite row scales to NaN
+        got = _clamp_norms(y, _R)
+        want = _clamp_without_precheck(y, _R)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # the input itself comes back exactly when the full path returns it
+    assert (got is y) == (want is y)
+    np.testing.assert_array_equal(y.view(np.int64), before.view(np.int64))
 
 
 def test_pf_ode_field_underflow_raises():

@@ -169,6 +169,81 @@ def test_shared_coupling_matches_separate_solves(case):
     assert w2_stderr_proxy(samples, target) == want[1]
 
 
+def _coupling_w2_two_pass(samples, quantiles):
+    """``_coupling_w2`` as it was before the single-buffer rewrite: separate
+    difference and square arrays, and the distinct count and ``p_hat`` from
+    full comparison passes over the sorted samples."""
+    s = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = s.size
+    diff = s - quantiles
+    sq = diff * diff
+    w2_sq = float(np.mean(sq))
+    w2 = math.sqrt(w2_sq)
+    n_distinct = 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+    if n_distinct <= 2:
+        if n_distinct == 2:
+            p_hat = np.count_nonzero(s == s[-1]) / n
+            gap_sq = float((s[-1] - s[0]) ** 2)
+        else:
+            p_hat, gap_sq = 0.0, float((quantiles[-1] - quantiles[0]) ** 2)
+        spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
+        se_sq = gap_sq * float(np.sqrt(spread / n))
+    else:
+        se_sq = float(np.std(sq) / np.sqrt(n))
+    if se_sq <= 0:
+        return w2, 0.0
+    return w2, 0.5 * se_sq / max(np.sqrt(w2_sq), np.sqrt(se_sq))
+
+
+def _assert_same_bits(got, want):
+    # NaN-safe and sign-of-zero-safe: compare the IEEE bit patterns.
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+_NAN = math.nan
+_TWO_PASS_CASES = {
+    "one_valued": np.full(1000, 3.0),
+    "one_valued_signed_zeros": np.array([0.0, -0.0, 0.0, -0.0]),
+    "two_valued_p_1_over_n": np.r_[np.zeros(999), 100.0],
+    "two_valued_p_1_minus_1_over_n": np.r_[0.0, np.full(999, 100.0)],
+    "two_valued_signed_zero": np.array([-0.0, 0.0, 0.0, 5.0, 5.0]),
+    "two_valued_n2": np.array([100.0, 0.0]),
+    "three_valued": np.r_[np.zeros(10), 50.0, np.full(10, 100.0)],
+    "many_valued": np.random.default_rng(3).normal(50.0, 30.0, size=2001),
+    "single": np.array([1.5]),
+    "single_nan": np.array([_NAN]),
+    "all_nan": np.full(3, _NAN),
+    "two_nan": np.full(2, _NAN),
+    "one_value_and_nan": np.array([0.0, 0.0, _NAN]),
+    "value_then_nan": np.array([_NAN, 4.0]),
+    "two_values_and_nan": np.array([0.0, 100.0, 100.0, _NAN]),
+    "many_valued_with_nan": np.r_[np.random.default_rng(4).normal(size=50), _NAN],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_PASS_CASES))
+def test_coupling_w2_matches_two_pass_body(case):
+    samples = _TWO_PASS_CASES[case]
+    q = coupling_quantiles(_GMM3, samples.size)
+    _assert_same_bits(_coupling_w2(samples, q), _coupling_w2_two_pass(samples, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 100.0, math.nan])
+        | st.floats(min_value=-1e6, max_value=1e6),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([TWO_ATOM, _GAUSS, _GMM3]),
+)
+def test_coupling_w2_matches_two_pass_body_on_draws(values, target):
+    samples = np.array(values)
+    q = coupling_quantiles(target, samples.size)
+    _assert_same_bits(_coupling_w2(samples, q), _coupling_w2_two_pass(samples, q))
+
+
 def test_coupling_quantiles_checks_sizes():
     with pytest.raises(NumericError):
         coupling_quantiles(TWO_ATOM, 0)

@@ -106,6 +106,15 @@ def test_make_custom_validation():
         make_custom([0.0, 2.0, 1.0], [1.0, 0.5, 0.7], [0.0, 1.0, 2.0])  # t unsorted
 
 
+def test_make_custom_rejects_negative_diffusion():
+    # sigma2 stops growing while alpha keeps growing, so on (1, 2)
+    # g2 = sigma2' - 2 h sigma2 = -2 h sigma2 < 0.
+    with pytest.raises(ValueError, match="g2"):
+        make_custom([0.0, 1.0, 2.0], [1.0, 1.5, 2.0], [0.0, 0.5, 0.5])
+    # the tabulated OU loads although its interpolated g2 dips below 2
+    mirror_ou()
+
+
 def test_custom_from_csv_roundtrip(tmp_path):
     t = np.linspace(0.0, 3.0, 301)
     lines = ["t,alpha,sigma2"]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from cmlab import (
     threshold_stage_laws,
     wrap_fn,
 )
-from cmlab._rng import chunk_rngs, chunk_sizes
+from cmlab import sampler
+from cmlab._rng import N_CHUNKS, chunk_rngs, chunk_sizes
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -160,6 +162,30 @@ def test_batched_stages_match_chunk_major_reference(oracle, n):
     noisy, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=11)
     np.testing.assert_array_equal(rec_noisy(), noisy)
     np.testing.assert_array_equal(rec.denoised, denoised)
+
+
+def _pretend_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+@pytest.mark.parametrize("n", [5, 1000])
+@pytest.mark.parametrize("oracle", ["threshold", "affine", "pf_ode"])
+def test_worker_count_does_not_change_record(monkeypatch, oracle, n, cpus):
+    # n = 5 is below the chunk count, so some lanes draw only empty chunks.
+    _pretend_cpus(monkeypatch, cpus)
+    assert sampler._lane_count() == cpus
+    make, schedule, times = _ORACLES[oracle]
+    taus = SamplingTimeSchedule(times)
+    rec = multistep_sample(make(), schedule, taus, n, seed=7)
+    _, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=7)
+    np.testing.assert_array_equal(rec.denoised, denoised)
+
+
+def test_lane_count_is_capped_at_chunk_count(monkeypatch):
+    _pretend_cpus(monkeypatch, 4 * N_CHUNKS)
+    assert sampler._lane_count() == N_CHUNKS
 
 
 def test_one_oracle_call_per_stage():
