@@ -9,8 +9,10 @@ provides:
 * ``exact_single_gaussian`` — the closed-form affine oracle for a single
   Gaussian target (the reverse ODE is linear there);
 * ``pf_ode_consistency`` — a numerically integrated oracle running the
-  probability-flow ODE ``dx/ds = h(s) x - 0.5 g2(s) * score_s(x)`` backward
-  with fixed-step RK4 to the small positive time floor ``1e-6``;
+  probability-flow ODE in denoiser form, ``dy/dlam = (y - D(y, lam)) / lam``
+  in ``y = x / alpha`` against ``lam = sigma / alpha`` (the same equation
+  for every schedule), backward with fixed-step RK4 to the noise floor
+  ``lam = 1e-6``, where it returns the posterior mean ``D``;
 * ``quantile_perturbed`` — a deliberately miscalibrated threshold estimator
   whose decision boundary sits at the ``0.5 + kappa * t**2`` quantile of the
   true marginal, giving a mean squared evaluation error of exactly
@@ -33,11 +35,13 @@ import numpy as np
 
 from ._rng import MonteCarloEstimate, chunk_moments, map_chunks, merge_moments
 from .errors import NumericError
-from .noise_schedule import NoiseSchedule, TrainingPartition, drift_diffusion
+from .noise_schedule import NoiseSchedule, TrainingPartition, make_ve
 from .target_dist import (
     DiscreteTarget,
     GaussianMixtureTarget,
     MarginalView,
+    _mixture_score,
+    _noised_params,
     _sample_mixture,
     geometry,
     marginal_quantile_1d,
@@ -58,9 +62,11 @@ __all__ = [
 
 _MAX_ODE_STEPS = 10**8
 
-# The PF-ODE consistency function integrates down to this time rather than
-# 0, clear of the singular score of atomic targets at vanishing noise.
-_TIME_FLOOR = 1e-6
+# The PF-ODE runs in lam = sigma / alpha floored here, so t = 0 maps to this
+# noise level, where the denoiser of an atomic target is still defined.
+_LAMBDA_FLOOR = 1e-6
+# In y = x / alpha the PF-ODE field at lam is the VE field at t = lam.
+_VE = make_ve()
 
 
 def _check_step(step) -> float:
@@ -169,6 +175,13 @@ def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> Consiste
     )
 
 
+def _gaussian_slope(v: float, schedule: NoiseSchedule, t: float):
+    """``alpha_t`` and the slope ``sqrt(v / V_t)``, ``V_t = alpha_t**2 v +
+    sigma2_t``, of the exact oracle for a Gaussian of variance ``v``."""
+    a = float(schedule.alpha(t))
+    return a, math.sqrt(v / (a * a * v + float(schedule.sigma2(t))))
+
+
 def exact_single_gaussian(
     target: GaussianMixtureTarget, schedule: NoiseSchedule
 ) -> ConsistencyFn:
@@ -187,9 +200,7 @@ def exact_single_gaussian(
     v = float(target.variances[0])
 
     def fn(x, t):
-        a = float(schedule.alpha(t))
-        big_v = a * a * v + float(schedule.sigma2(t))
-        slope = math.sqrt(v / big_v)
+        a, slope = _gaussian_slope(v, schedule, t)
         return m[None, :] + slope * (x - a * m[None, :])
 
     return ConsistencyFn(fn=fn, output_radius=math.inf, kind="Wrapped")
@@ -202,43 +213,32 @@ def gaussian_affine_map(
     if target.n_components != 1 or target.dim != 1:
         raise NumericError("affine map requires a single 1-D Gaussian")
     m = float(target.means[0, 0])
-    v = float(target.variances[0])
-    a = float(schedule.alpha(t))
-    big_v = a * a * v + float(schedule.sigma2(t))
-    slope = math.sqrt(v / big_v)
+    a, slope = _gaussian_slope(float(target.variances[0]), schedule, t)
     return slope, m * (1.0 - a * slope)
 
 
-# Component z-score beyond which the ODE field's score queries are projected.
-_SCORE_QUERY_CAP = 30.0
+def _pf_ode_field(target, lams: np.ndarray) -> Callable:
+    """The probability-flow ODE field at the noise levels ``lams``.
 
+    In ``y = x / alpha`` and ``lam = sigma / alpha`` every forward process
+    has the same probability-flow ODE (Karras et al., EDM,
+    arXiv:2206.00364),
 
-def _pf_ode_field(target, schedule: NoiseSchedule, grid: np.ndarray) -> Callable:
-    """The probability-flow ODE field at the times ``grid``.
+        dy/dlam = (y - D(y, lam)) / lam = -lam * score_lam(y),
 
-    Returns ``field(j, y) = h(s_j) y - 0.5 g2(s_j) score_{s_j}(P_j(y))`` for
-    ``(n, d)`` points ``y`` and ``s_j = grid[j]``.  ``P_j`` projects each
-    score query into the region where the mixture density stays above the
-    underflow floor: a point farther than 30 standard deviations from every
-    component is pulled radially to 30 standard deviations of the nearest
-    one.  RK4 stage points land there in the stiff low-noise stretch (tiny
-    ``sigma2``, atomic target), where the exact score is far larger than any
-    stable step could use; the projected score keeps the correct direction
-    and only caps that magnitude.  The projection and the score share one
-    kernel pass (:func:`~cmlab.target_dist.marginal_score_path`).
-
-    The drift coefficients, ``alpha`` and ``sigma2`` are tabulated on the
-    whole grid up front, so an evaluation is one kernel call.
+    where ``D`` is the posterior-mean denoiser and ``score_lam`` the score
+    of the target noised to variances ``v_k + lam**2``: the VE marginal at
+    ``t = lam``.  Returns ``field(j, y)`` for ``(n, d)`` points ``y`` and
+    ``lam = lams[j]``, by one kernel pass of
+    :func:`~cmlab.target_dist.marginal_score_path`.  The responsibilities
+    are a softmax, so the field is defined at every finite point.
     """
-    h_all, g2_all = drift_diffusion(schedule, grid)
-    h_all = np.asarray(h_all, dtype=float)
-    half_g2_all = 0.5 * np.asarray(g2_all, dtype=float)
-    score_at = marginal_score_path(target, schedule, grid, cap=_SCORE_QUERY_CAP)
+    score_at = marginal_score_path(target, _VE, lams)
 
     def field(j: int, y: np.ndarray) -> np.ndarray:
         out = score_at(j, y)
-        out *= half_g2_all[j]
-        return np.subtract(h_all[j] * y, out, out=out)
+        out *= -lams[j]
+        return out
 
     return field
 
@@ -253,71 +253,65 @@ def pf_ode_transport(
 ) -> np.ndarray:
     """Advance points along the probability-flow ODE from ``t_from`` to ``t_to``.
 
-    Fixed-step classical RK4 with substep size at most ``step`` (the
-    interval is divided into equal substeps, so the endpoint is hit
-    exactly).  Works in either time direction.  The projection of score
-    queries happens inside each field evaluation (see
-    :func:`_pf_ode_field`); the integrated points themselves are never
-    moved.
-
-    Starting *forward* from exactly ``t = 0`` with an atomic target is
-    singular (the zero-noise marginal has no density); in that case each
-    point is first moved to ``(1e-6, alpha(1e-6) * x)``, the mean
-    continuation of its own conditional trajectory, which is exact for
-    points sitting on atoms.
+    The points are mapped to ``y = x / alpha(t_from)`` and integrated in
+    ``lam = sigma / alpha`` (see :func:`_pf_ode_field`) by classical RK4
+    with ``ceil(|t_to - t_from| / step)`` steps.  The step nodes are ``lam``
+    at equally spaced times from ``t_from`` to ``t_to``, so the endpoint is
+    hit exactly, and the middle stages sit at the midpoints in ``lam`` of
+    each step.  Works in either time direction.  ``lam`` is floored at
+    ``1e-6`` at both ends for every target, so ``t = 0`` is reached as that
+    noise level; a point on an atom stays on it.  Returns
+    ``alpha(t_to) * y``.
     """
     step = _check_step(step)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    pts = (x[:, None] if squeeze else x).copy()
+    pts = x[:, None] if squeeze else x
     t_from = float(t_from)
     t_to = float(t_to)
-    discrete = isinstance(target, DiscreteTarget)
-    if discrete:
-        if t_to == 0.0:
-            raise NumericError(
-                "cannot integrate to t = 0 for an atomic target; stop at the "
-                "solver floor instead"
-            )
-        if t_from == 0.0:
-            t_from = _TIME_FLOOR
-            pts = pts * float(schedule.alpha(t_from))
     if t_from == t_to:
+        pts = pts.copy()
         return pts[:, 0] if squeeze else pts
-    span = t_to - t_from
-    n_steps = int(math.ceil(abs(span) / step))
+    n_steps = int(math.ceil(abs(t_to - t_from) / step))
     if n_steps > _MAX_ODE_STEPS:
         raise NumericError(
             f"RK4 step count {n_steps} exceeds the {_MAX_ODE_STEPS} limit"
         )
-    h_step = span / n_steps
-    # Half-step grid s_j = t_from + j*h/2 covering every RK4 stage time.
-    field = _pf_ode_field(
-        target, schedule, np.linspace(t_from, t_to, 2 * n_steps + 1)
-    )
+    times = schedule.check_time(np.linspace(t_from, t_to, n_steps + 1))
+    lams = np.maximum(schedule.sigma(times) / schedule.alpha(times), _LAMBDA_FLOOR)
+    # Nodes and midpoints interleaved: the stages of step k sit at 2k, 2k+1
+    # and 2k+2.  Midpoints of lam, not lam at the middle time, keep the
+    # scheme fourth order where lam(t) is far from linear (OU near t = 0).
+    nodes = np.empty(2 * n_steps + 1)
+    nodes[0::2] = lams
+    nodes[1::2] = 0.5 * (lams[:-1] + lams[1:])
+    field = _pf_ode_field(target, nodes)
+    a_from, a_to = np.asarray(schedule.alpha(times[[0, -1]]), dtype=float).tolist()
+    y = pts / a_from
 
     # Stage points and the step combination are built in place, in the
-    # operation order of ``pts + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` (IEEE
+    # operation order of ``y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` (IEEE
     # sums and products commute), so no step allocates more than the four
     # field values.
-    half_h = 0.5 * h_step
-    stage = np.empty_like(pts)
-    for k in range(n_steps):
-        k1 = field(2 * k, pts)
+    stage = np.empty_like(y)
+    for k, h in enumerate(np.diff(lams).tolist()):
+        half_h = 0.5 * h
+        k1 = field(2 * k, y)
         np.multiply(k1, half_h, out=stage)
-        k2 = field(2 * k + 1, np.add(stage, pts, out=stage))
+        k2 = field(2 * k + 1, np.add(stage, y, out=stage))
         np.multiply(k2, half_h, out=stage)
-        k3 = field(2 * k + 1, np.add(stage, pts, out=stage))
-        np.multiply(k3, h_step, out=stage)
-        k4 = field(2 * k + 2, np.add(stage, pts, out=stage))
+        k3 = field(2 * k + 1, np.add(stage, y, out=stage))
+        np.multiply(k3, h, out=stage)
+        k4 = field(2 * k + 2, np.add(stage, y, out=stage))
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
         k2 += k3
         k2 += k4
-        k2 *= h_step / 6.0
-        pts += k2
-    return pts[:, 0] if squeeze else pts
+        k2 *= h / 6.0
+        y += k2
+    y *= a_to
+    return y[:, 0] if squeeze else y
 
 
 def pf_ode_consistency(
@@ -325,25 +319,29 @@ def pf_ode_consistency(
 ) -> ConsistencyFn:
     """Consistency function computed by integrating the reverse ODE.
 
-    RK4 with steps of at most ``step`` runs from ``t`` down to the time
-    floor ``1e-6``.  For atomic targets the endpoint is snapped to the
-    nearest atom, which absorbs the accumulated error of the (deliberately
-    simple) fixed-step scheme in the stiff final stretch near zero noise.
+    :func:`pf_ode_transport` with steps of at most ``step`` runs from ``t``
+    down to ``t = 0``, that is to the noise floor ``lam = 1e-6``, and the
+    output is the posterior mean there,
+
+        y + sum_k r_k (m_k - y) lam**2 / (v_k + lam**2),
+
+    within ``O(lam**2)`` of the ODE's own endpoint.  For atoms the factor
+    ``lam**2 / (v_k + lam**2)`` is exactly 1 and the responsibility of
+    every far atom exactly 0, so a point that has reached an atom's
+    neighbourhood returns that atom bit for bit.  A point exactly on a
+    separatrix stays on the saddle and returns the posterior mean there:
+    between atoms ``{0, 100}`` under OU the input ``50 alpha_t`` returns 50,
+    where :func:`exact_two_point` returns 100.
     """
     step = _check_step(step)
     discrete = isinstance(target, DiscreteTarget)
-    geo = geometry(target)
-    radius = geo.radius if discrete else math.inf
-    locations = target.locations if discrete else None
+    radius = geometry(target).radius if discrete else math.inf
+    floor2 = _LAMBDA_FLOOR * _LAMBDA_FLOOR
+    at_floor = _noised_params(target, 1.0, floor2)
 
     def fn(x, t):
-        out = pf_ode_transport(target, schedule, x, t, _TIME_FLOOR, step)
-        if discrete:
-            dists = np.linalg.norm(
-                out[:, None, :] - locations[None, :, :], axis=2
-            )
-            out = locations[np.argmin(dists, axis=1)]
-        return out
+        y = pf_ode_transport(target, schedule, x, t, 0.0, step)
+        return y + _mixture_score(y, at_floor, floor2)[0]
 
     return ConsistencyFn(fn=fn, output_radius=radius, kind="PfOde")
 

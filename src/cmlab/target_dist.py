@@ -221,61 +221,47 @@ def _log_total(m: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(m), m + np.log(s), m)
 
 
-def _mixture_score(pts: np.ndarray, mixture, cap: float | None = None):
-    """Score at ``(n, d)`` points of the mixture ``(means, variances,
-    weights)`` given by :meth:`MarginalView.mixture_params`; the one
-    implementation behind :func:`score` and :func:`marginal_score_path`.
+def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
+    """Responsibility-weighted pull ``sum_k r_k (scale / V_k) (m_k - x)`` at
+    ``(n, d)`` points of the mixture ``(means, variances, weights)`` given by
+    :meth:`MarginalView.mixture_params`, where ``r_k`` are the softmax
+    responsibilities of the components at ``x``.  At ``scale = 1`` this is
+    the score; with the variances ``v_k + s2`` of a target noised by
+    ``s2`` and ``scale = s2``, ``x`` plus it is the posterior mean
+    ``E[x_0 | x]``.  The one kernel behind :func:`score`,
+    :func:`marginal_score_path` and the PF-ODE denoiser.
 
-    The pulls ``m_k - x`` and squared z-scores are computed once in
-    component-major ``(k, n, d)`` layout and serve both the optional
-    projection and the score itself.  With ``cap`` set, a point farther than
-    ``cap`` standard deviations from every component is first moved radially
-    to ``cap`` standard deviations of the nearest one (nearest in z-score),
-    and its pulls are recomputed from the moved point.
-
-    Raises :class:`NumericError` if the density does not exist or
-    underflows (below 1e-300).
+    The softmax never underflows: at any finite point the component with
+    the largest log term keeps responsibility at least ``1/k``.  Also
+    returns the log-sum-exp split ``(m, s)`` of :func:`_log_normalize`, from
+    which :func:`score` checks the density itself.  Raises
+    :class:`NumericError` only if the density does not exist.
     """
     means, variances, weights = mixture
     _require_density(variances)
     pull, sq = _pulls(pts, means)
-    z2 = sq / variances[:, None]
-    if cap is not None:
-        off = np.flatnonzero(z2.min(axis=0) > cap * cap)
-        if off.size:
-            near = np.argmin(z2[:, off], axis=0)
-            scale = cap * np.sqrt(variances[near] / sq[near, off])
-            moved = means[near] - pull[near, off] * scale[:, None]
-            pull[:, off], sq_off = _pulls(moved, means)
-            z2[:, off] = sq_off / variances[:, None]
     # From here on every (k, n) and (k, n, d) step is done in place, in the
-    # same operation order as ``((e / s) / v) * pull`` with
+    # same operation order as ``((e / s) / (v / scale)) * pull`` with
     # ``e = exp(log_coef - 0.5 z2 - max)``: IEEE products and sums commute,
-    # and ``a - 0.5 b`` is exactly ``(-0.5 b) + a``.  A field evaluation of
-    # the ODE solver then allocates three (k, n)-sized arrays, not ten,
-    # which the allocator would otherwise hand back to the OS and fault in
-    # again on every call.
-    log_terms = np.multiply(z2, -0.5, out=sq)
+    # and ``a - 0.5 b`` is exactly ``(-0.5 b) + a``.  ``v / 1.0`` is ``v``,
+    # and for an atom noised by ``s2 = scale``, ``v / scale`` is exactly 1.  A
+    # field evaluation of the ODE solver then allocates two arrays of
+    # ``k n`` or ``k n d`` elements, not ten, which the allocator would
+    # otherwise hand back to the OS and fault in again on every call.
+    log_terms = np.divide(sq, variances[:, None], out=sq)
+    log_terms *= -0.5
     log_terms += _log_coefs(weights, variances, means.shape[1])[:, None]
     m, resp, s = _log_normalize(log_terms)
-    # ``s >= 1`` (its largest term is exp(0)), so the total is at least
-    # ``m`` and only columns with ``m`` under the floor can fall below it.
-    low = np.flatnonzero(m < _LOG_PDF_FLOOR)
-    if low.size and np.any(_log_total(m[low], s[low]) < _LOG_PDF_FLOOR):
-        raise NumericError(
-            "marginal density underflow while evaluating the score; "
-            "clamp x or increase t"
-        )
     resp /= s
-    resp /= variances[:, None]
+    resp /= (variances / scale)[:, None]
     pull *= resp[:, :, None]
     # Sum the components in a fixed order with elementwise adds, so a row's
-    # score does not depend on how many rows share the call (einsum takes a
-    # differently ordered kernel when n == 1).
+    # result does not depend on how many rows share the call (einsum takes
+    # a differently ordered kernel when n == 1).
     out = np.zeros(pull.shape[1:])
     for term in pull:
         out += term
-    return out
+    return out, m, s
 
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
@@ -317,33 +303,43 @@ def marginal_pdf(view: MarginalView, x):
 def score(view: MarginalView, x):
     """Gradient of the log marginal density at ``x``.
 
-    Evaluated by the component-major mixture kernel (:func:`_mixture_score`)
-    without projection.  Raises :class:`NumericError` if the density
-    underflows (below 1e-300); callers should clamp ``x`` or raise ``t``
-    instead of trusting a score computed from a vanishing density.
+    Evaluated by the component-major mixture kernel (:func:`_mixture_score`).
+    Raises :class:`NumericError` if the density underflows (below 1e-300);
+    callers should clamp ``x`` or raise ``t`` instead of trusting a score
+    computed from a vanishing density.
     """
     pts, scalar = _as_points(x, view.dim)
-    out = _mixture_score(pts, view.mixture_params())
+    out, m, s = _mixture_score(pts, view.mixture_params())
+    # ``s >= 1`` (its largest term is exp(0)), so the total is at least
+    # ``m`` and only columns with ``m`` under the floor can fall below it.
+    low = np.flatnonzero(m < _LOG_PDF_FLOOR)
+    if low.size and np.any(_log_total(m[low], s[low]) < _LOG_PDF_FLOOR):
+        raise NumericError(
+            "marginal density underflow while evaluating the score; "
+            "clamp x or increase t"
+        )
     return out[0] if scalar else out
 
 
 def marginal_score_path(
-    target: Target, schedule: NoiseSchedule, times, cap: float | None = None
+    target: Target, schedule: NoiseSchedule, times
 ) -> Callable[[int, np.ndarray], np.ndarray]:
     """The marginal scores at a fixed grid of times, for repeated use.
 
     Returns ``score_at(j, x)``, the score of the time-``times[j]`` marginal
-    at ``(n, d)`` points ``x``, with the queries first projected to ``cap``
-    component standard deviations as in :func:`_mixture_score` when ``cap``
-    is given.  The time domain is checked and ``alpha`` and ``sigma2`` are
-    tabulated once for the whole grid, so each call is one kernel pass.
+    at ``(n, d)`` points ``x``.  Unlike :func:`score` it is defined at every
+    finite point, however small the density there: the responsibilities
+    are a softmax, so far out the score is that of the component that
+    dominates there.  The time domain is checked and ``alpha`` and
+    ``sigma2`` are tabulated once for the whole grid, so each call is one
+    kernel pass.
     """
     times = schedule.check_time(times)
     a_all = np.asarray(schedule.alpha(times), dtype=float)
     s2_all = np.asarray(schedule.sigma2(times), dtype=float)
 
     def score_at(j: int, x: np.ndarray) -> np.ndarray:
-        return _mixture_score(x, _noised_params(target, a_all[j], s2_all[j]), cap)
+        return _mixture_score(x, _noised_params(target, a_all[j], s2_all[j]))[0]
 
     return score_at
 

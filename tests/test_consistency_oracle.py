@@ -14,17 +14,17 @@ from cmlab import (
     NumericError,
     TrainingPartition,
     consistency_loss,
-    drift_diffusion,
     evaluation_error,
     exact_single_gaussian,
     exact_two_point,
     gaussian_affine_map,
     make_ou,
     make_ve,
+    marginal_quantile_1d,
     pf_ode_consistency,
     pf_ode_transport,
     quantile_perturbed,
-    score,
+    target_quantiles_1d,
     wrap_fn,
 )
 from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
@@ -158,8 +158,8 @@ def test_pf_ode_matches_affine_oracle():
     """RK4 denoising of a Gaussian marginal reproduces the closed-form map.
 
     For N(0, 0.25) under OU the consistency function is linear with slope
-    sqrt(v / V_t); the solver integrates to its time floor instead of zero,
-    so agreement is at the floor's slope (the gap to t=0 is ~1e-6).
+    sqrt(v / V_t); the solver stops at the noise floor lam = 1e-6 and
+    returns the posterior mean there (about 2e-8 off at the default step).
     """
     target = GaussianMixtureTarget([[0.0]], [0.25], [1.0])
     f = pf_ode_consistency(target, OU)
@@ -197,9 +197,18 @@ def test_pf_ode_forward_from_zero_follows_mean_path():
     np.testing.assert_allclose(out, [0.0, 100.0 * math.exp(-1.0)], atol=1e-2)
 
 
-def test_pf_ode_transport_rejects_zero_endpoint_for_atoms():
-    with pytest.raises(NumericError):
-        pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 1.0, 0.0)
+def test_pf_ode_transport_to_zero_keeps_points_on_atoms():
+    # t = 0 is reached as the noise floor; the atoms' own noised means come
+    # back as the atoms exactly, and so do the atoms sent out and back.
+    atoms = np.array([0.0, 100.0])
+    for schedule in (OU, make_ve()):
+        for t in (0.5, 1.0):
+            x = atoms * float(schedule.alpha(t))
+            back = pf_ode_transport(TWO_ATOM, schedule, x, t, 0.0)
+            np.testing.assert_array_equal(back, atoms)
+            there = pf_ode_transport(TWO_ATOM, schedule, atoms, 0.0, t)
+            back = pf_ode_transport(TWO_ATOM, schedule, there, t, 0.0)
+            np.testing.assert_array_equal(back, atoms)
 
 
 def test_pf_ode_transport_noop():
@@ -212,35 +221,33 @@ def test_pf_ode_step_cap():
         pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=1e-12)
 
 
-def _reference_field(target, schedule, s, y):
-    """``h y - 0.5 g2 score(view, P(y))`` written out from MarginalView in
-    point-major ``(n, k, d)`` layout, where ``P`` pulls points beyond 30
-    component standard deviations of every component to 30 sd of the
-    nearest one.  Also returns the projection mask and the projected points.
-    """
-    view = MarginalView(target, schedule, s)
-    means, variances, weights = view.mixture_params()
-    d = means.shape[1]
-    diff = y[:, None, :] - means[None, :, :]
-    dist2 = np.sum(diff * diff, axis=2)
-    z2 = dist2 / variances
-    near = np.argmin(z2, axis=1)
-    off = z2[np.arange(len(y)), near] > 30.0**2
-    j = near[off]
-    proj = y.copy()
-    proj[off] = means[j] + diff[off, j] * (
-        30.0 * np.sqrt(variances[j] / dist2[off, j])
-    )[:, None]
-    pull = means[None, :, :] - proj[:, None, :]
+def _lambdas(schedule, times):
+    times = np.asarray(times, dtype=float)
+    lam = np.sqrt(schedule.sigma2(times)) / schedule.alpha(times)
+    return np.maximum(lam, 1e-6)
+
+
+def _components(target):
+    if isinstance(target, DiscreteTarget):
+        return target.locations, np.zeros(target.n_components), target.weights
+    return target.means, target.variances, target.weights
+
+
+def _reference_field(target, lam, y):
+    """``-lam * score`` of the target noised to variances ``v_k + lam**2``,
+    that is ``(y - D(y, lam)) / lam``, written out in point-major
+    ``(n, k, d)`` layout with scipy's softmax for the responsibilities."""
+    locs, vs, weights = _components(target)
+    variances = vs + lam * lam
+    d = locs.shape[1]
+    pull = locs[None, :, :] - y[:, None, :]
     logc = (
         np.log(weights)
         - 0.5 * d * np.log(2.0 * np.pi * variances)
         - 0.5 * np.sum(pull * pull, axis=2) / variances
     )
     resp = scipy.special.softmax(logc, axis=1)
-    sc = np.sum((resp / variances)[:, :, None] * pull, axis=1)
-    h, g2 = drift_diffusion(schedule, s)
-    return float(h) * y - 0.5 * float(g2) * sc, off, proj, view, sc
+    return -lam * np.sum((resp / variances)[:, :, None] * pull, axis=1)
 
 
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
@@ -258,50 +265,32 @@ def _reference_field(target, schedule, s, y):
     ids=["atoms", "gmm"],
 )
 def test_pf_ode_field_matches_reference_formula(target, pts, schedule):
-    grid = np.array([1e-3, 0.05, 0.4, 1.0, 2.5])
-    field = _pf_ode_field(target, schedule, grid)
+    lams = _lambdas(schedule, [1e-3, 0.05, 0.4, 1.0, 2.5])
+    field = _pf_ode_field(target, lams)
     y = np.array(pts)[:, None]
-    projected = np.zeros(len(y), dtype=bool)
-    for j, s in enumerate(grid):
-        want, off, proj, view, sc = _reference_field(target, schedule, s, y)
-        np.testing.assert_allclose(field(j, y), want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(score(view, proj), sc, rtol=1e-12, atol=0)
-        projected |= off
-        assert not off.all()
-    assert projected.any()  # some queries exercised the 30-sd projection
+    locs, vs, _ = _components(target)
+    far = np.zeros(len(y), dtype=bool)
+    for j, lam in enumerate(lams):
+        got = field(j, y)
+        np.testing.assert_allclose(got, _reference_field(target, lam, y), rtol=1e-12, atol=0)
+        z2 = (y - locs[:, 0]) ** 2 / (vs + lam * lam)
+        far |= z2.min(axis=1) > 30.0**2
+    assert far.any()  # some queries lie beyond 30 sd of every component
 
 
-def _allocating_field(target, schedule, grid):
+def _allocating_field(target, lams):
     """The PF-ODE field as the component-major kernel computed it with a
     fresh array for every operation; the in-place kernel must reproduce it
     bit for bit."""
-    h_all, g2_all = drift_diffusion(schedule, grid)
-    half_g2_all = 0.5 * np.asarray(g2_all, dtype=float)
-    times = schedule.check_time(grid)
-    a_all = np.asarray(schedule.alpha(times), dtype=float)
-    s2_all = np.asarray(schedule.sigma2(times), dtype=float)
-    if isinstance(target, DiscreteTarget):
-        locs, vs = target.locations, np.zeros(target.n_components)
-    else:
-        locs, vs = target.means, target.variances
-    weights = target.weights
-    cap = 30.0
+    locs, vs, weights = _components(target)
 
-    def field(j, pts):
-        a, s2 = a_all[j], s2_all[j]
-        means, variances = a * locs, a * a * vs + s2
-        pull = means[:, None, :] - pts[None, :, :]
+    def field(j, y):
+        lam = lams[j]
+        variances = vs + lam * lam
+        pull = locs[:, None, :] - y[None, :, :]
         sq = np.einsum("knd,knd->kn", pull, pull)
         z2 = sq / variances[:, None]
-        off = np.flatnonzero(z2.min(axis=0) > cap * cap)
-        if off.size:
-            near = np.argmin(z2[:, off], axis=0)
-            scale = cap * np.sqrt(variances[near] / sq[near, off])
-            moved = means[near] - pull[near, off] * scale[:, None]
-            pull_off = means[:, None, :] - moved[None, :, :]
-            pull[:, off] = pull_off
-            z2[:, off] = np.einsum("knd,knd->kn", pull_off, pull_off) / variances[:, None]
-        log_coef = np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi * variances)
+        log_coef = np.log(weights) - 0.5 * locs.shape[1] * np.log(2.0 * np.pi * variances)
         logc = log_coef[:, None] - 0.5 * z2
         m = logc.max(axis=0)
         e = np.exp(logc - m)
@@ -310,23 +299,28 @@ def _allocating_field(target, schedule, grid):
         sc = np.zeros(terms.shape[1:])
         for term in terms:
             sc += term
-        return h_all[j] * pts - half_g2_all[j] * sc
+        return -lam * sc
 
     return field
 
 
 def _allocating_transport(target, schedule, x, t_from, t_to, step):
     n_steps = int(math.ceil(abs(t_to - t_from) / step))
-    h = (t_to - t_from) / n_steps
-    field = _allocating_field(target, schedule, np.linspace(t_from, t_to, 2 * n_steps + 1))
-    pts = x.copy()
+    times = np.linspace(t_from, t_to, n_steps + 1)
+    lam = _lambdas(schedule, times)
+    nodes = np.empty(2 * n_steps + 1)
+    nodes[0::2] = lam
+    nodes[1::2] = 0.5 * (lam[:-1] + lam[1:])
+    field = _allocating_field(target, nodes)
+    y = x / float(schedule.alpha(t_from))
     for k in range(n_steps):
-        k1 = field(2 * k, pts)
-        k2 = field(2 * k + 1, pts + 0.5 * h * k1)
-        k3 = field(2 * k + 1, pts + 0.5 * h * k2)
-        k4 = field(2 * k + 2, pts + h * k3)
-        pts = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return pts
+        h = lam[k + 1] - lam[k]
+        k1 = field(2 * k, y)
+        k2 = field(2 * k + 1, y + 0.5 * h * k1)
+        k3 = field(2 * k + 1, y + 0.5 * h * k2)
+        k4 = field(2 * k + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return float(schedule.alpha(t_to)) * y
 
 
 _GMM3 = GaussianMixtureTarget([[-3.0], [0.5], [4.0]], [0.3, 1.0, 0.5], [0.2, 0.5, 0.3])
@@ -346,16 +340,35 @@ _GMM_2D = GaussianMixtureTarget([[-3.0, 1.0], [2.0, 0.5]], [0.4, 1.5], [0.35, 0.
 def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
     # Bit for bit, at points inside and beyond 30 component sd, on the field
     # and on whole RK4 transports in both time directions.
-    grid = np.array([1e-3, 0.05, 0.4, 1.0, 2.5])
+    lams = _lambdas(schedule, [1e-3, 0.05, 0.4, 1.0, 2.5])
     y = np.array(pts)
-    field = _pf_ode_field(target, schedule, grid)
-    want_field = _allocating_field(target, schedule, grid)
-    for j in range(grid.size):
+    field = _pf_ode_field(target, lams)
+    want_field = _allocating_field(target, lams)
+    for j in range(lams.size):
         np.testing.assert_array_equal(field(j, y), want_field(j, y))
     for t_from, t_to in ((2.0, 0.05), (0.3, 1.2)):
         got = pf_ode_transport(target, schedule, y, t_from, t_to, step=0.05)
         want = _allocating_transport(target, schedule, y, t_from, t_to, 0.05)
         np.testing.assert_array_equal(got, want)
+
+
+# The GMM of the PF-ODE benchmark workload: three separated components of
+# unequal width.
+_BENCH_GMM = GaussianMixtureTarget(
+    [[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2]
+)
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_pf_ode_matches_monotone_rearrangement(schedule, t):
+    # In 1-D the consistency function is the monotone rearrangement
+    # Q_0(F_t(x)): at x = Q_t(u) the RK4 oracle must give Q_0(u).
+    u = np.random.default_rng([7, int(t)]).uniform(0.001, 0.999, 256)
+    view = MarginalView(_BENCH_GMM, schedule, t)
+    x = np.array([marginal_quantile_1d(view, q) for q in u])
+    got = pf_ode_consistency(_BENCH_GMM, schedule)(x, t)
+    assert np.max(np.abs(got - target_quantiles_1d(_BENCH_GMM, u))) <= 1e-6
 
 
 def _scaled_rows(y, radius):
@@ -426,18 +439,27 @@ def test_clamp_precheck_matches_full_path(rows):
     np.testing.assert_array_equal(y.view(np.int64), before.view(np.int64))
 
 
-def test_pf_ode_field_underflow_raises():
-    # Beyond 30 sd of a component with weight 1e-110 and every other
-    # component even farther away, the projected density is ~1e-308.
+def test_pf_ode_follows_the_only_component_with_weight_far_out():
+    # At -1e6 the density is ~1e-308, but component 0 takes every bit of
+    # the responsibility, so the transport is its affine flow in lambda.
     faint = GaussianMixtureTarget(
         [[0.0], [1e6]], [1e4, 1.0], [1e-110, 1.0 - 1e-110]
     )
-    ve = make_ve()
-    field = _pf_ode_field(faint, ve, np.array([0.5]))
-    with pytest.raises(NumericError):
-        field(0, np.array([[-1e6]]))
-    with pytest.raises(NumericError):
-        pf_ode_transport(faint, ve, np.array([-1e6]), 0.5, 0.4)
+    got = pf_ode_transport(faint, make_ve(), np.array([-1e6]), 0.5, 0.4)
+    want = -1e6 * math.sqrt((1e4 + 0.4**2) / (1e4 + 0.5**2))
+    assert abs(float(got[0]) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 5.0])
+def test_pf_ode_maps_far_and_separatrix_points_to_threshold_atoms(t):
+    f_ode = pf_ode_consistency(TWO_ATOM, OU)
+    f_ref = exact_two_point(TWO_ATOM, OU)
+    b = 50.0 * float(OU.alpha(t))
+    x = np.array([-1e4, 1e4, np.nextafter(b, -math.inf), np.nextafter(b, math.inf)])
+    np.testing.assert_array_equal(f_ode(x, t), f_ref(x, t))
+    # Exactly on the separatrix the point stays on the saddle, where the
+    # posterior mean is the midpoint.
+    assert f_ode(np.array([b]), t)[0] == 50.0
 
 
 # ---------------------------------------------------------------------------
