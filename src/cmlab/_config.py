@@ -34,31 +34,36 @@ def _expect_mapping(node, path: str) -> dict:
     return node
 
 
-def _get_number(node: dict, key: str, path: str, default=None, required=False):
+def _check_keys(node: dict, path: str, allowed) -> None:
+    """Reject any key of the object at ``path`` that is not in ``allowed``."""
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def _get_number(node: dict, key: str, path: str, default=None, required=False,
+                integer=False):
+    """``node[key]`` as a float, or as an int when ``integer``; ``default``
+    when the key is absent and not ``required``."""
     if key not in node:
         if required:
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    types, what = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}.{key}: expected {what}, got {value!r}")
+    return value if integer else float(value)
 
 
-def _get_int(node: dict, key: str, path: str, default=None, required=False):
-    if key not in node:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+_TARGET_FIELDS = {"discrete": ("atoms",), "gmm": ("components", "L")}  # besides "type"
 
 
 def build_target(node, path: str = "target") -> Target:
     node = _expect_mapping(node, path)
     kind = node.get("type")
+    if kind in _TARGET_FIELDS:
+        _check_keys(node, path, ("type", *_TARGET_FIELDS[kind]))
     if kind == "discrete":
         atoms = node.get("atoms")
         if not isinstance(atoms, list) or not atoms:
@@ -128,11 +133,7 @@ def build_estimator(
     node = _expect_mapping(node, path)
     kind = node.get("estimator")
     if kind in _ESTIMATOR_FIELDS:
-        for key in node:
-            if key != "estimator" and key not in _ESTIMATOR_FIELDS[kind]:
-                raise ConfigError(
-                    f"{path}.{key}: unknown field for estimator {kind!r}"
-                )
+        _check_keys(node, path, ("estimator", *_ESTIMATOR_FIELDS[kind]))
     try:
         if kind == "exact":
             return exact_reference(target, schedule)
@@ -159,9 +160,18 @@ def exact_reference(target: Target, schedule: NoiseSchedule) -> ConsistencyFn:
     return exact_single_gaussian(target, schedule)
 
 
+# The fields each schedule design takes, besides the sampling settings that
+# every design shares.
+_DESIGN_FIELDS = {"two_step_ou": ("R", "eps"), "halving_ve": ("T",),
+                  "uniform": ("T", "N"), "explicit": ("taus",)}
+_SAMPLING_FIELDS = ("schedule_design", "n", "seed", "smoothing_sigma")
+
+
 def build_design(node, delta: float, path: str = "sampling") -> SamplingTimeSchedule:
     node = _expect_mapping(node, path)
     kind = node.get("schedule_design")
+    if kind in _DESIGN_FIELDS:
+        _check_keys(node, path, _SAMPLING_FIELDS + _DESIGN_FIELDS[kind])
     try:
         if kind == "two_step_ou":
             radius = _get_number(node, "R", path, required=True)
@@ -172,7 +182,7 @@ def build_design(node, delta: float, path: str = "sampling") -> SamplingTimeSche
             return design_halving_ve(horizon, delta)
         if kind == "uniform":
             horizon = _get_number(node, "T", path, required=True)
-            n_steps = _get_int(node, "N", path, required=True)
+            n_steps = _get_number(node, "N", path, required=True, integer=True)
             return design_uniform(horizon, n_steps, delta)
         if kind == "explicit":
             taus = node.get("taus")
@@ -211,19 +221,13 @@ class ExperimentConfig:
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     raw = _expect_mapping(raw, "config")
-    known = {
+    _check_keys(raw, "config", (
         "target", "schedule", "delta", "estimator", "sampling",
         "eps_over_delta", "metrics", "bounds", "label", "out",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown top-level field")
-    if "target" not in raw:
-        raise ConfigError("target: required field is missing")
-    if "schedule" not in raw:
-        raise ConfigError("schedule: required field is missing")
-    if "sampling" not in raw:
-        raise ConfigError("sampling: required field is missing")
+    ))
+    for key in ("target", "schedule", "sampling"):
+        if key not in raw:
+            raise ConfigError(f"{key}: required field is missing")
     target = build_target(raw["target"])
     schedule = build_schedule(raw["schedule"])
     delta = _get_number(raw, "delta", "config", default=1.0)
@@ -233,10 +237,10 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     estimator = build_estimator(estimator_node, target, schedule)
     sampling = _expect_mapping(raw["sampling"], "sampling")
     taus = build_design(sampling, delta)
-    n = _get_int(sampling, "n", "sampling", default=100_000)
+    n = _get_number(sampling, "n", "sampling", default=100_000, integer=True)
     if n < 1:
         raise ConfigError(f"sampling.n: must be >= 1, got {n}")
-    seed = _get_int(sampling, "seed", "sampling", default=0)
+    seed = _get_number(sampling, "seed", "sampling", default=0, integer=True)
     smoothing = sampling.get("smoothing_sigma")
     if smoothing is not None and smoothing != "optimal":
         if isinstance(smoothing, bool) or not isinstance(smoothing, (int, float)):
@@ -254,10 +258,12 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         if eps_over_delta < 0:
             raise ConfigError("eps_over_delta: must be nonnegative")
     metrics_node = _expect_mapping(raw.get("metrics", {}), "metrics")
+    _check_keys(metrics_node, "metrics", ("tv",))
     want_tv = metrics_node.get("tv", False)
     if not isinstance(want_tv, bool):
         raise ConfigError("metrics.tv: expected true/false")
     bounds_node = _expect_mapping(raw.get("bounds", {}), "bounds")
+    _check_keys(bounds_node, "bounds", ("tail_c", "tail_C", "tail_coeff"))
     tail_c = _get_number(bounds_node, "tail_c", "bounds")
     tail_big_c = _get_number(bounds_node, "tail_C", "bounds")
     tail_coeff = _get_number(bounds_node, "tail_coeff", "bounds", default=1.0)

@@ -278,15 +278,31 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
     return 0
 
 
-def _resolve_sigma_eps(cfg: ExperimentConfig, eps_over_delta: float,
-                       smoothness: float) -> float:
-    """The smoothing level: the configured value, or the TV-optimal one."""
+def _tv_sigma_eps(cfg: ExperimentConfig, eps_over_delta: float) -> float:
+    """The smoothing level of the TV check: the configured value, or the
+    TV-optimal one.  Raises :class:`NumericError` unless smoothing is set
+    and the target has a score smoothness ``L``, which the TV bound needs."""
+    if cfg.smoothing is None:
+        raise NumericError("metrics.tv: the TV check needs sampling.smoothing_sigma")
+    smoothness = geometry(cfg.target).log_smoothness
+    if smoothness is None:
+        raise NumericError(
+            "L: the TV bound requires the target smoothness L "
+            "(set target.L for mixtures)"
+        )
     if cfg.smoothing == "optimal":
         return sigma_eps_optimal(
             cfg.taus.taus[-1], eps_over_delta * cfg.delta, cfg.delta,
             cfg.target.dim, smoothness,
         )
     return float(cfg.smoothing)
+
+
+def _gaussian_pdf(mean: float, var: float):
+    def pdf(x):
+        return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
+
+    return pdf
 
 
 def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
@@ -297,11 +313,7 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
     """
     if not cfg.want_tv:
         return None
-    if cfg.smoothing is None:
-        raise NumericError(
-            "metrics.tv: the TV check needs smoothing "
-            "(set sampling.smoothing_sigma)"
-        )
+    sigma_eps = _tv_sigma_eps(cfg, eps_over_delta)
     if not (
         isinstance(cfg.target, GaussianMixtureTarget)
         and cfg.target.n_components == 1
@@ -312,31 +324,17 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
             "metrics.tv: analytic TV is only available for a single-Gaussian "
             "1-D target with the exact estimator (no density estimation is done)"
         )
-    geo = geometry(cfg.target)
-    if geo.log_smoothness is None:
-        raise NumericError("L: the TV bound requires the target smoothness L")
-    sigma_eps = _resolve_sigma_eps(cfg, eps_over_delta, geo.log_smoothness)
-    m0 = float(cfg.target.means[0, 0])
-    v0 = float(cfg.target.variances[0])
-
-    def affine(t):
-        return gaussian_affine_map(cfg.target, cfg.schedule, t)
+    target_law = (float(cfg.target.means[0, 0]), float(cfg.target.variances[0]))
 
     def tv_of_stage(i: int) -> float:
         _, (mean, var) = affine_stage_laws(
-            cfg.schedule, cfg.taus.truncated(i), affine
+            cfg.schedule, cfg.taus.truncated(i),
+            lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t),
         )
-        var_s = var + sigma_eps * sigma_eps
-
-        def out_pdf(x):
-            return np.exp(-0.5 * (x - mean) ** 2 / var_s) / np.sqrt(2 * np.pi * var_s)
-
-        def target_pdf(x):
-            return np.exp(-0.5 * (x - m0) ** 2 / v0) / np.sqrt(2 * np.pi * v0)
-
-        lo = min(mean - 12 * math.sqrt(var_s), m0 - 12 * math.sqrt(v0))
-        hi = max(mean + 12 * math.sqrt(var_s), m0 + 12 * math.sqrt(v0))
-        return tv_grid(out_pdf, target_pdf, lo, hi, 20001).value
+        laws = ((mean, var + sigma_eps * sigma_eps), target_law)
+        lo = min(m - 12 * math.sqrt(v) for m, v in laws)
+        hi = max(m + 12 * math.sqrt(v) for m, v in laws)
+        return tv_grid(*(_gaussian_pdf(m, v) for m, v in laws), lo, hi, 20001).value
 
     return {"sigma_eps": sigma_eps, "tv_of_stage": tv_of_stage}
 
@@ -380,18 +378,7 @@ def cmd_bounds(config_path: str) -> int:
     geo = geometry(cfg.target)
     want_tail = cfg.tail_big_c is not None
     want_tv = cfg.want_tv
-    sigma_eps = None
-    if want_tv:
-        if geo.log_smoothness is None:
-            raise NumericError(
-                "L: the TV bound requires the target smoothness L "
-                "(set target.L for mixtures)"
-            )
-        if cfg.smoothing is None:
-            raise NumericError(
-                "metrics.tv: the TV bound needs sampling.smoothing_sigma"
-            )
-        sigma_eps = _resolve_sigma_eps(cfg, eps_over_delta, geo.log_smoothness)
+    sigma_eps = _tv_sigma_eps(cfg, eps_over_delta) if want_tv else None
     header = (
         f"{'stage':>5} {'tau':>10} {'w2_general':>12} {'w2_modified':>12} "
         f"{'kl_bound':>11}"

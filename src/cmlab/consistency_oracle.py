@@ -130,15 +130,6 @@ def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
     return y
 
 
-def _threshold(x: np.ndarray, a: float, lo: float, hi: float) -> np.ndarray:
-    """``lo`` where ``x < a``, else ``hi`` (NaN included): ``np.where(x < a,
-    lo, hi)``, but as a gather from ``[hi, lo]`` indexed by the comparison,
-    written straight out as index integers.  On unordered points, such as a
-    sampler stage's, this runs in about half ``where``'s time."""
-    index = np.less(x, a, out=np.empty(x.shape, np.intp), casting="unsafe")
-    return np.take([hi, lo], index)
-
-
 def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
     if not isinstance(target, DiscreteTarget):
         raise NumericError("this oracle requires an atomic target")
@@ -149,6 +140,22 @@ def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
         raise NumericError("this oracle requires equal atom weights")
     lo, hi = sorted(float(v) for v in target.locations[:, 0])
     return lo, hi
+
+
+def _threshold_oracle(lo: float, hi: float, boundary: Callable, kind: str):
+    """The rule ``lo`` where ``x < boundary(t)``, else ``hi`` (NaN included),
+    for two atoms ``lo < hi``: ``np.where``, but as a gather from ``[hi,
+    lo]`` indexed by the comparison, which on unordered points, such as a
+    sampler stage's, runs in about half ``where``'s time."""
+
+    def fn(x, t):
+        index = np.empty(x.shape, np.intp)
+        np.less(x, boundary(t), out=index, casting="unsafe")
+        return np.take([hi, lo], index)
+
+    return ConsistencyFn(
+        fn=fn, output_radius=max(abs(lo), abs(hi)), kind=kind, boundary=boundary
+    )
 
 
 def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> ConsistencyFn:
@@ -164,15 +171,7 @@ def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> Consiste
     def boundary(t: float) -> float:
         return mid * float(schedule.alpha(t))
 
-    def fn(x, t):
-        return _threshold(x, boundary(t), lo, hi)
-
-    return ConsistencyFn(
-        fn=fn,
-        output_radius=max(abs(lo), abs(hi)),
-        kind="ExactTwoPoint",
-        boundary=boundary,
-    )
+    return _threshold_oracle(lo, hi, boundary, "ExactTwoPoint")
 
 
 def _gaussian_slope(v: float, schedule: NoiseSchedule, t: float):
@@ -377,15 +376,7 @@ def quantile_perturbed(
             )
         return marginal_quantile_1d(MarginalView(target, schedule, t), u)
 
-    def fn(x, t):
-        return _threshold(x, boundary(t), lo, hi)
-
-    return ConsistencyFn(
-        fn=fn,
-        output_radius=max(abs(lo), abs(hi)),
-        kind="QuantilePerturbed",
-        boundary=boundary,
-    )
+    return _threshold_oracle(lo, hi, boundary, "QuantilePerturbed")
 
 
 def wrap_fn(
@@ -397,6 +388,20 @@ def wrap_fn(
     wrapped function is only consulted at strictly positive times.
     """
     return ConsistencyFn(fn=fn, output_radius=output_radius, kind=kind)
+
+
+def _mean_squared_gap(view: MarginalView, pair: Callable, n: int, seed):
+    """Monte Carlo ``E_{x ~ p_t} |a - b|^2`` with ``(a, b) = pair(x)``,
+    called once per RNG chunk of :func:`~cmlab._rng.map_chunks`."""
+    means, variances, weights = view.mixture_params()
+
+    def chunk(rng, m, _ci):
+        if m == 0:
+            return 0.0, 0.0, 0
+        a, b = pair(_sample_mixture(rng, means, variances, weights, m))
+        return chunk_moments(np.sum((a - b) ** 2, axis=1))
+
+    return merge_moments(map_chunks(chunk, n, seed))
 
 
 def consistency_loss(
@@ -420,19 +425,13 @@ def consistency_loss(
         raise NumericError(f"step index {i} outside 0..{partition.m - 1}")
     t_i = partition.time_of(i)
     t_next = partition.time_of(i + 1)
-    view = MarginalView(target, schedule, t_i)
-    means, variances, weights = view.mixture_params()
 
-    def chunk(rng, m, _ci):
-        if m == 0:
-            return 0.0, 0.0, 0
-        x = _sample_mixture(rng, means, variances, weights, m)
+    def pair(x):
         here = fhat(x, t_i)
         moved = pf_ode_transport(target, schedule, x, t_i, t_next, step)
-        there = fhat(moved, t_next)
-        return chunk_moments(np.sum((here - there) ** 2, axis=1))
+        return here, fhat(moved, t_next)
 
-    return merge_moments(map_chunks(chunk, n, seed))
+    return _mean_squared_gap(MarginalView(target, schedule, t_i), pair, n, seed)
 
 
 def evaluation_error(
@@ -443,13 +442,5 @@ def evaluation_error(
     seed,
 ) -> MonteCarloEstimate:
     """Monte Carlo ``E_{x ~ p_t} | fhat(x, t) - f_ref(x, t) |^2``."""
-    means, variances, weights = view.mixture_params()
     t = view.t
-
-    def chunk(rng, m, _ci):
-        if m == 0:
-            return 0.0, 0.0, 0
-        x = _sample_mixture(rng, means, variances, weights, m)
-        return chunk_moments(np.sum((fhat(x, t) - f_ref(x, t)) ** 2, axis=1))
-
-    return merge_moments(map_chunks(chunk, n, seed))
+    return _mean_squared_gap(view, lambda x: (fhat(x, t), f_ref(x, t)), n, seed)

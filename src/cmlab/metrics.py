@@ -155,22 +155,35 @@ class GridIntegral:
     truncation_b: float
 
 
-def _grid(lo: float, hi: float, n_grid: int) -> np.ndarray:
+def _on_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int):
+    """Both densities on an odd Simpson grid over ``[lo, hi]``, the grid's
+    integral, and the mass each density leaves off the grid, which must not
+    exceed 1e-3 on either side."""
+    from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
+
     if not hi > lo:
         raise NumericError(f"empty integration range [{lo}, {hi}]")
     if n_grid < 1000:
         raise NumericError(f"n_grid must be >= 1000, got {n_grid}")
     if n_grid % 2 == 0:
         n_grid += 1  # Simpson's rule wants an even number of panels
-    return np.linspace(lo, hi, n_grid)
+    x = np.linspace(lo, hi, n_grid)
 
+    def integrate(y) -> float:
+        return float(simpson(y, x=x))
 
-def _check_truncation(name: str, mass: float):
-    if abs(mass) > _TRUNCATION_LIMIT:
-        raise NumericError(
-            f"density {name} leaves {mass:.3e} mass outside the grid "
-            f"(limit {_TRUNCATION_LIMIT}); widen [lo, hi]"
-        )
+    pa = np.asarray(pdf_a(x), dtype=float)
+    pb = np.asarray(pdf_b(x), dtype=float)
+    truncation = []
+    for name, p in (("a", pa), ("b", pb)):
+        mass = 1.0 - integrate(p)
+        if abs(mass) > _TRUNCATION_LIMIT:
+            raise NumericError(
+                f"density {name} leaves {mass:.3e} mass outside the grid "
+                f"(limit {_TRUNCATION_LIMIT}); widen [lo, hi]"
+            )
+        truncation.append(mass)
+    return pa, pb, integrate, truncation
 
 
 def tv_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridIntegral:
@@ -179,35 +192,19 @@ def tv_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridInte
     Both densities must effectively live inside ``[lo, hi]``: a truncation
     mass above 1e-3 on either side raises :class:`NumericError`.
     """
-    from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
-
-    x = _grid(lo, hi, n_grid)
-    pa = np.asarray(pdf_a(x), dtype=float)
-    pb = np.asarray(pdf_b(x), dtype=float)
-    trunc_a = 1.0 - float(simpson(pa, x=x))
-    trunc_b = 1.0 - float(simpson(pb, x=x))
-    _check_truncation("a", trunc_a)
-    _check_truncation("b", trunc_b)
-    value = 0.5 * float(simpson(np.abs(pa - pb), x=x))
-    return GridIntegral(value=value, truncation_a=trunc_a, truncation_b=trunc_b)
+    pa, pb, integrate, truncation = _on_grid(pdf_a, pdf_b, lo, hi, n_grid)
+    return GridIntegral(0.5 * integrate(np.abs(pa - pb)), *truncation)
 
 
 def kl_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridIntegral:
     """KL divergence ``integral p_a log(p_a / p_b)`` by Simpson quadrature.
 
+    The grid and its truncation checks are those of :func:`tv_grid`.
     ``p_b`` must stay above the 1e-300 floor wherever ``p_a`` does
     (otherwise the divergence is effectively infinite on the grid and a
     :class:`NumericError` is raised).  ``0 log 0`` is treated as 0.
     """
-    from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
-
-    x = _grid(lo, hi, n_grid)
-    pa = np.asarray(pdf_a(x), dtype=float)
-    pb = np.asarray(pdf_b(x), dtype=float)
-    trunc_a = 1.0 - float(simpson(pa, x=x))
-    trunc_b = 1.0 - float(simpson(pb, x=x))
-    _check_truncation("a", trunc_a)
-    _check_truncation("b", trunc_b)
+    pa, pb, integrate, truncation = _on_grid(pdf_a, pdf_b, lo, hi, n_grid)
     live = pa > _PDF_FLOOR
     if np.any(live & (pb < _PDF_FLOOR)):
         raise NumericError(
@@ -216,8 +213,7 @@ def kl_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridInte
         )
     integrand = np.zeros_like(pa)
     integrand[live] = pa[live] * (np.log(pa[live]) - np.log(pb[live]))
-    value = float(simpson(integrand, x=x))
-    return GridIntegral(value=value, truncation_a=trunc_a, truncation_b=trunc_b)
+    return GridIntegral(integrate(integrand), *truncation)
 
 
 def tv_discrete_1d(samples, target) -> float:

@@ -141,12 +141,13 @@ _G2_RTOL = 1e-3
 def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
     """Schedule from tabulated values, interpolated with a monotone cubic.
 
-    The table must start at ``t = 0`` with ``alpha = 1`` and ``sigma2 = 0``,
-    keep ``alpha`` positive, and keep ``sigma2`` nondecreasing.  The drift
-    ``h = alpha'/alpha``, ``g2 = sigma2' - 2 h sigma2`` uses the exact
-    derivatives of the two interpolants, and ``g2`` must not go negative
-    at the tabulated times or their midpoints (up to a relative ``1e-3``
-    allowance for interpolation error).
+    Every value must be finite.  The table must start at ``t = 0`` with
+    ``alpha = 1`` and ``sigma2 = 0``, keep ``alpha`` positive, and keep
+    ``sigma2`` nondecreasing.  The drift ``h = alpha'/alpha``, ``g2 =
+    sigma2' - 2 h sigma2`` uses the exact derivatives of the two
+    interpolants, and ``g2`` must not go negative at the tabulated times or
+    their midpoints (up to a relative ``1e-3`` allowance for interpolation
+    error).
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha_values, dtype=float)
@@ -155,6 +156,10 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
         raise ValueError("t, alpha, sigma2 must be equal-length 1-D arrays")
     if t.size < 2:
         raise ValueError("need at least two tabulated points")
+    for name, column in (("t", t), ("alpha", a), ("sigma2", s2)):
+        bad = column[~np.isfinite(column)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
     if np.any(np.diff(t) <= 0):
         raise ValueError("tabulated times must be strictly increasing")
     if abs(t[0]) > 1e-12:

@@ -186,17 +186,21 @@ def _require_density(variances: np.ndarray):
         )
 
 
-def _log_coefs(weights: np.ndarray, variances: np.ndarray, d: int) -> np.ndarray:
-    """Point-independent part of each component's log density,
-    ``log w_k - (d/2) log(2 pi v_k)``, shape ``(k,)``."""
-    return np.log(weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
-
-
-def _pulls(pts: np.ndarray, means: np.ndarray):
-    """Pulls ``m_k - x_i`` as a component-major ``(k, n, d)`` array, and
-    their squared lengths ``(k, n)``."""
+def _log_terms(pts: np.ndarray, mixture):
+    """Pulls ``m_k - x_i`` as a component-major ``(k, n, d)`` array, and the
+    ``(k, n)`` log terms ``log w_k - (d/2) log(2 pi v_k) - |m_k - x_i|^2 /
+    (2 v_k)`` of a ``(means, variances, weights)`` mixture at ``(n, d)``
+    points, built in place as ``(-0.5 (sq / v)) + c``, which is exactly
+    ``c - 0.5 (sq / v)``."""
+    means, variances, weights = mixture
     pull = means[:, None, :] - pts[None, :, :]
-    return pull, np.einsum("knd,knd->kn", pull, pull)
+    log_terms = np.einsum("knd,knd->kn", pull, pull)
+    log_terms /= variances[:, None]
+    log_terms *= -0.5
+    log_terms += (
+        np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi * variances)
+    )[:, None]
+    return pull, log_terms
 
 
 def _log_normalize(logc: np.ndarray):
@@ -237,20 +241,15 @@ def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     which :func:`score` checks the density itself.  Raises
     :class:`NumericError` only if the density does not exist.
     """
-    means, variances, weights = mixture
+    variances = mixture[1]
     _require_density(variances)
-    pull, sq = _pulls(pts, means)
-    # From here on every (k, n) and (k, n, d) step is done in place, in the
-    # same operation order as ``((e / s) / (v / scale)) * pull`` with
-    # ``e = exp(log_coef - 0.5 z2 - max)``: IEEE products and sums commute,
-    # and ``a - 0.5 b`` is exactly ``(-0.5 b) + a``.  ``v / 1.0`` is ``v``,
-    # and for an atom noised by ``s2 = scale``, ``v / scale`` is exactly 1.  A
-    # field evaluation of the ODE solver then allocates two arrays of
+    pull, log_terms = _log_terms(pts, mixture)
+    # Every (k, n) and (k, n, d) step is done in place, in the operation
+    # order of ``((e / s) / (v / scale)) * pull``, ``e = exp(log_term -
+    # max)``; for an atom noised by ``s2 = scale``, ``v / scale`` is exactly
+    # 1.  A field evaluation of the ODE solver then allocates two arrays of
     # ``k n`` or ``k n d`` elements, not ten, which the allocator would
     # otherwise hand back to the OS and fault in again on every call.
-    log_terms = np.divide(sq, variances[:, None], out=sq)
-    log_terms *= -0.5
-    log_terms += _log_coefs(weights, variances, means.shape[1])[:, None]
     m, resp, s = _log_normalize(log_terms)
     resp /= s
     resp /= (variances / scale)[:, None]
@@ -283,14 +282,10 @@ def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
 
 
 def marginal_logpdf(view: MarginalView, x):
-    means, variances, weights = view.mixture_params()
-    _require_density(variances)
+    mixture = view.mixture_params()
+    _require_density(mixture[1])
     pts, scalar = _as_points(x, view.dim)
-    _, sq = _pulls(pts, means)
-    logc = _log_coefs(weights, variances, view.dim)[:, None] - 0.5 * (
-        sq / variances[:, None]
-    )
-    m, _, s = _log_normalize(logc)
+    m, _, s = _log_normalize(_log_terms(pts, mixture)[1])
     logs = _log_total(m, s)
     return float(logs[0]) if scalar else logs
 
@@ -514,61 +509,31 @@ class TargetGeometry:
 def geometry(target: Target) -> TargetGeometry:
     """Geometric summaries consumed by the bound evaluators.
 
-    For atomic targets everything is exact.  For Gaussian mixtures the
-    radius/diameter use a mean plus three-standard-deviation spread per
-    component — an *effective* support, flagged as such — and the score
-    smoothness is exact (``1/v``) only for a single component.
+    Atoms are components of variance 0, so one formula covers both: the
+    radius and diameter take a mean plus three-standard-deviation spread
+    per component, which is exact for atoms and an *effective* support,
+    flagged as such, for Gaussian mixtures.  The score smoothness is exact
+    (``1/v``) only for a single Gaussian component.
     """
-    if isinstance(target, DiscreteTarget):
-        norms = np.linalg.norm(target.locations, axis=1)
-        k = target.n_components
-        diam = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                diam = max(
-                    diam,
-                    float(np.linalg.norm(target.locations[i] - target.locations[j])),
-                )
-        second = float(target.weights @ (norms**2))
-        return TargetGeometry(
-            radius=float(norms.max()),
-            diameter=diam,
-            second_moment=second,
-            log_smoothness=None,
-            effective=False,
-        )
-    if isinstance(target, GaussianMixtureTarget):
-        norms = np.linalg.norm(target.means, axis=1)
-        sds = np.sqrt(target.variances)
-        radius = float(np.max(norms + 3.0 * sds))
-        k = target.n_components
-        if k == 1:
-            diam = float(6.0 * sds[0])
-            smooth = (
-                target.log_smoothness
-                if target.log_smoothness is not None
-                else 1.0 / float(target.variances[0])
-            )
-        else:
-            diam = 0.0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    gap = float(np.linalg.norm(target.means[i] - target.means[j]))
-                    diam = max(diam, gap + 3.0 * float(sds[i] + sds[j]))
-            diam = max(diam, float(6.0 * sds.max()))
-            smooth = target.log_smoothness
-        d = target.dim
-        second = float(
-            target.weights @ (norms**2 + d * target.variances)
-        )
-        return TargetGeometry(
-            radius=radius,
-            diameter=diam,
-            second_moment=second,
-            log_smoothness=smooth,
-            effective=True,
-        )
-    raise TypeError(f"unsupported target type {type(target).__name__}")
+    locs, variances, weights = _component_params(target)
+    norms = np.linalg.norm(locs, axis=1)
+    sds = np.sqrt(variances)
+    k = weights.size
+    diam = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = float(np.linalg.norm(locs[i] - locs[j]))
+            diam = max(diam, gap + 3.0 * float(sds[i] + sds[j]))
+    smooth = getattr(target, "log_smoothness", None)
+    if smooth is None and k == 1 and variances[0] > 0:
+        smooth = 1.0 / float(variances[0])
+    return TargetGeometry(
+        radius=float(np.max(norms + 3.0 * sds)),
+        diameter=max(diam, float(6.0 * sds.max())),
+        second_moment=float(weights @ (norms**2 + locs.shape[1] * variances)),
+        log_smoothness=smooth,
+        effective=bool(np.any(variances > 0)),
+    )
 
 
 def target_quantiles_1d(target: Target, u) -> np.ndarray:

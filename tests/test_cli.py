@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ from cmlab import DiscreteTarget, NumericError, w2_stderr_proxy, w2_vs_target_1d
 from cmlab._config import load_experiment_config
 from cmlab.cli import ResultRow, _fmt, main, write_rows_csv
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 GOLDEN_HEADER = "schedule_label,stage,tau,w2,bound_general,bound_modified,kl_bound"
 
 
@@ -85,6 +88,23 @@ def test_negative_diffusion_schedule_exits_2(tmp_path, capsys):
     assert "g2" in capsys.readouterr().err
 
 
+def test_non_finite_schedule_cell_exits_2(tmp_path, capsys):
+    table = tmp_path / "sched.csv"
+    table.write_text("t,alpha,sigma2\n0,1,0\n1,0.8,inf\n2,0.6,inf\n")
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({
+        "target": {"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]},
+        "schedule": {"csv": str(table)},
+        "sampling": {"schedule_design": "explicit", "taus": [1.0]},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: schedule.csv: sigma2 must be finite, got inf\n"
+    )
+
+
 def _two_atom_config(tmp_path, name, field, raw_value):
     """A small two-atom OU config whose ``field`` holds the JSON text
     ``raw_value`` verbatim."""
@@ -136,6 +156,105 @@ def test_unknown_estimator_field_exits_2(tmp_path, capsys, estimator, key):
     path = _two_atom_config(tmp_path, "stale.json", "estimator", json.dumps(estimator))
     assert main(["experiment", "--config", str(path)]) == 2
     assert f"config error: estimator.{key}:" in capsys.readouterr().err
+
+
+def _base_config(tmp_path):
+    return {
+        "target": {"type": "gmm", "components": [[0.0, 1.0, 1.0]], "L": 1.0},
+        "schedule": "ou",
+        "eps_over_delta": 0.01,
+        "sampling": {"schedule_design": "explicit", "taus": [2.0, 1.0], "n": 100,
+                     "seed": 1, "smoothing_sigma": "optimal"},
+        "metrics": {"tv": True},
+        "bounds": {"tail_c": 10.0, "tail_C": 10.0, "tail_coeff": 1.0},
+        "out": str(tmp_path / "out.csv"),
+    }
+
+
+_ATOMS = {"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]}
+_DESIGNS = {
+    "two_step_ou": {"schedule_design": "two_step_ou", "R": 100.0, "eps": 1.0},
+    "halving_ve": {"schedule_design": "halving_ve", "T": 8.0},
+    "uniform": {"schedule_design": "uniform", "T": 4.0, "N": 2},
+    "explicit": {"schedule_design": "explicit", "taus": [2.0, 1.0]},
+}
+
+
+def _all_four_typos(config):
+    config["target"]["Lipschitz"] = 1.0
+    config["sampling"]["smoothing"] = "optimal"
+    config["metrics"] = {"TV": True}
+    config["bounds"] = {"tail_k": 3}
+
+
+# (the error path, an edit that puts an unknown key there)
+_TYPOS = [
+    ("config.metric", lambda c: c.update(metric={"tv": True})),
+    ("target.L", lambda c: c.update(target=dict(_ATOMS, L=1.0))),
+    ("target.Lipschitz", lambda c: c["target"].update(Lipschitz=1.0)),
+    ("sampling.T", lambda c: c["sampling"].update(T=2.0)),
+    ("sampling.smoothing", lambda c: c["sampling"].update(smoothing="optimal")),
+    ("sampling.taus", lambda c: c.update(sampling=dict(_DESIGNS["two_step_ou"],
+                                                       taus=[1.0]))),
+    ("sampling.N", lambda c: c.update(sampling=dict(_DESIGNS["halving_ve"], N=3))),
+    ("sampling.R", lambda c: c.update(sampling=dict(_DESIGNS["uniform"], R=1.0))),
+    ("metrics.TV", lambda c: c.update(metrics={"TV": True})),
+    ("bounds.tail_k", lambda c: c["bounds"].update(tail_k=3)),
+    ("target.Lipschitz", _all_four_typos),
+]
+
+
+@pytest.mark.parametrize("path, edit", _TYPOS,
+                         ids=[path for path, _ in _TYPOS[:-1]] + ["all_four"])
+@pytest.mark.parametrize("command", ["experiment", "bounds"])
+def test_unknown_key_in_any_object_exits_2(tmp_path, capsys, command, path, edit):
+    config = _base_config(tmp_path)
+    edit(config)
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["sampling"].pop("smoothing_sigma"),
+     "metrics.tv: the TV check needs sampling.smoothing_sigma"),
+    (lambda c: c.update(target={"type": "gmm",
+                                "components": [[0.0, 1.0, 0.5], [3.0, 1.0, 0.5]]},
+                        estimator={"estimator": "pfode"}),
+     "L: the TV bound requires the target smoothness L (set target.L for mixtures)"),
+    (lambda c: c.update(target=_ATOMS),
+     "L: the TV bound requires the target smoothness L (set target.L for mixtures)"),
+], ids=["no_smoothing", "mixture_without_L", "atoms"])
+def test_tv_preconditions_are_shared_by_both_commands(tmp_path, capsys, edit, message):
+    config = _base_config(tmp_path)
+    edit(config)
+    cfg = tmp_path / "tv.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("experiment", "bounds"):
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+
+
+def test_every_documented_key_loads(tmp_path):
+    for design in _DESIGNS.values():
+        config = _base_config(tmp_path)
+        config["sampling"] = dict(design, n=100, seed=1, smoothing_sigma=0.1)
+        config.update(delta=1.0, label="all", estimator={"estimator": "exact"})
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps(config))
+        assert load_experiment_config(str(cfg)).smoothing == 0.1
+    for name in sorted(p.name for p in CONFIG_DIR.glob("*.json")):
+        load_experiment_config(str(CONFIG_DIR / name))
+
+
+def test_lemma_checks_script_imports():
+    """Loads the script's imports and definitions, not its 10-s checks."""
+    names = runpy.run_path(str(ROOT / "scripts" / "lemma_checks.py"),
+                           run_name="lemma_checks")
+    assert callable(names["main"])
+    assert sum(name.startswith("check_") for name in names) == 5
 
 
 def test_bounds_rejects_measured_rate(tmp_path, capsys):

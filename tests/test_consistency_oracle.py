@@ -27,7 +27,9 @@ from cmlab import (
     target_quantiles_1d,
     wrap_fn,
 )
+from cmlab._rng import chunk_moments, map_chunks, merge_moments
 from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
+from cmlab.target_dist import _sample_mixture
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -530,3 +532,56 @@ def test_consistency_loss_determinism_and_range():
     assert a.value >= 0.0
     with pytest.raises(NumericError):
         consistency_loss(fhat, TWO_ATOM, OU, part, i=4, n=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# both Monte Carlo evaluators share one chunked mean-squared-error loop
+
+
+def _chunked_mse(view, fa, fb, n, seed):
+    """The chunk loop each evaluator carried before they shared one,
+    kept to pin the shared one bit for bit."""
+    means, variances, weights = view.mixture_params()
+
+    def chunk(rng, m, _ci):
+        if m == 0:
+            return 0.0, 0.0, 0
+        x = _sample_mixture(rng, means, variances, weights, m)
+        return chunk_moments(np.sum((fa(x) - fb(x)) ** 2, axis=1))
+
+    return merge_moments(map_chunks(chunk, n, seed))
+
+
+def _bits(est):
+    return est.value.hex(), est.stderr.hex(), est.n
+
+
+@pytest.mark.parametrize("n, seed", [(40_000, 21), (10, 3)],
+                         ids=["chunks", "empty_chunks"])
+def test_evaluation_error_bits_match_chunk_loop(n, seed):
+    fhat = quantile_perturbed(TWO_ATOM, OU, kappa=1e-3)
+    f = exact_two_point(TWO_ATOM, OU)
+    view = MarginalView(TWO_ATOM, OU, 3.0)
+    got = evaluation_error(fhat, f, view, n, seed)
+    want = _chunked_mse(view, lambda x: fhat(x, 3.0), lambda x: f(x, 3.0), n, seed)
+    assert _bits(got) == _bits(want)
+    assert got.value > 0.0 or n == 10
+
+
+@pytest.mark.parametrize("target, make_fhat", [
+    (TWO_ATOM, lambda target: quantile_perturbed(target, OU, kappa=1e-2)),
+    (_BENCH_GMM, lambda target: pf_ode_consistency(target, OU, step=0.05)),
+], ids=["threshold", "pfode_gmm"])
+def test_consistency_loss_bits_match_chunk_loop(target, make_fhat):
+    fhat = make_fhat(target)
+    part = TrainingPartition(0.5, 4)
+    t_i, t_next = 0.5, 1.0
+
+    def there(x):
+        return fhat(pf_ode_transport(target, OU, x, t_i, t_next, 0.05), t_next)
+
+    got = consistency_loss(fhat, target, OU, part, i=1, n=1000, seed=9, step=0.05)
+    view = MarginalView(target, OU, t_i)
+    want = _chunked_mse(view, lambda x: fhat(x, t_i), there, 1000, 9)
+    assert _bits(got) == _bits(want)
+    assert got.value > 0.0

@@ -310,6 +310,22 @@ def test_grid_validation_errors():
         tv_grid(gauss_pdf(0, 0.05), gauss_pdf(0, 1), -1, 1)  # b truncated
 
 
+@pytest.mark.parametrize("grid", [tv_grid, kl_grid], ids=["tv", "kl"])
+def test_grid_prologue_errors_on_each_side(grid):
+    with pytest.raises(NumericError, match="empty integration range"):
+        grid(gauss_pdf(0, 1), gauss_pdf(0, 1), 5, -5)
+    with pytest.raises(NumericError, match="n_grid must be >= 1000"):
+        grid(gauss_pdf(0, 1), gauss_pdf(0, 1), -10, 10, n_grid=999)
+    with pytest.raises(NumericError, match=r"density a leaves 3\.173e-01 mass"):
+        grid(gauss_pdf(0, 1), gauss_pdf(0, 0.1), -1, 1)
+    with pytest.raises(NumericError, match=r"density b leaves 3\.173e-01 mass"):
+        grid(gauss_pdf(0, 0.05), gauss_pdf(0, 1), -1, 1)
+    with pytest.raises(NumericError, match="density a"):  # a is checked first
+        grid(gauss_pdf(0, 1), gauss_pdf(0, 1), -1, 1)
+    got = grid(gauss_pdf(0, 1), gauss_pdf(0.5, 1), -12, 12.5)
+    assert abs(got.truncation_a) < 1e-8 and abs(got.truncation_b) < 1e-8
+
+
 def test_kl_support_violation():
     with pytest.raises(NumericError, match="support"):
         kl_grid(gauss_pdf(0, 1), gauss_pdf(300, 0.01), -12, 312, n_grid=200001)

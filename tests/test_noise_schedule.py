@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ def test_custom_from_csv_roundtrip(tmp_path):
     sched = custom_from_csv(path)
     assert sched.kind == "custom"
     assert float(sched.alpha(1.5)) == pytest.approx(math.exp(-1.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("column", ["t", "alpha", "sigma2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_custom_rejects_non_finite_values(column, bad):
+    table = {"t": [0.0, 1.0, 2.0], "alpha": [1.0, 0.8, 0.6], "sigma2": [0.0, 0.5, 0.9]}
+    table[column][1] = table[column][2] = bad
+    # Named before any arithmetic touches the value, so numpy and scipy
+    # stay silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{column} must be finite, got {bad!r}$"):
+            make_custom(table["t"], table["alpha"], table["sigma2"])
 
 
 def test_custom_from_csv_rejects_bad_header(tmp_path):

@@ -486,3 +486,90 @@ def test_ve_marginal_agrees_with_convolution():
         + scipy.stats.norm.pdf(1.0, loc=100.0, scale=3.0)
     )
     assert float(marginal_pdf(view, 1.0)) == pytest.approx(want, rel=1e-12)
+
+
+def _two_branch_geometry(target):
+    """The atom-branch / mixture-branch body that :func:`geometry` replaced,
+    kept to pin the one-formula version bit for bit."""
+    if isinstance(target, DiscreteTarget):
+        norms = np.linalg.norm(target.locations, axis=1)
+        k = target.n_components
+        diam = 0.0
+        for i in range(k):
+            for j in range(i + 1, k):
+                diam = max(
+                    diam,
+                    float(np.linalg.norm(target.locations[i] - target.locations[j])),
+                )
+        second = float(target.weights @ (norms**2))
+        return float(norms.max()), diam, second, None, False
+    norms = np.linalg.norm(target.means, axis=1)
+    sds = np.sqrt(target.variances)
+    radius = float(np.max(norms + 3.0 * sds))
+    k = target.n_components
+    if k == 1:
+        diam = float(6.0 * sds[0])
+        smooth = (
+            target.log_smoothness
+            if target.log_smoothness is not None
+            else 1.0 / float(target.variances[0])
+        )
+    else:
+        diam = 0.0
+        for i in range(k):
+            for j in range(i + 1, k):
+                gap = float(np.linalg.norm(target.means[i] - target.means[j]))
+                diam = max(diam, gap + 3.0 * float(sds[i] + sds[j]))
+        diam = max(diam, float(6.0 * sds.max()))
+        smooth = target.log_smoothness
+    second = float(target.weights @ (norms**2 + target.dim * target.variances))
+    return radius, diam, second, smooth, True
+
+
+@st.composite
+def _geometry_targets(draw):
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    locs = np.array(draw(st.lists(
+        st.lists(coord, min_size=d, max_size=d), min_size=k, max_size=k,
+        unique_by=tuple,
+    )))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    weights = raw / raw.sum()
+    if draw(st.booleans()):
+        return DiscreteTarget(locs, weights)
+    variances = draw(st.lists(st.floats(1e-4, 1e3), min_size=k, max_size=k))
+    smoothness = draw(st.none() | st.floats(1e-3, 1e3))
+    return GaussianMixtureTarget(locs, variances, weights, smoothness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometry_targets())
+def test_geometry_matches_two_branch_formula(target):
+    g = geometry(target)
+    got = (g.radius, g.diameter, g.second_moment, g.log_smoothness, g.effective)
+    want = _two_branch_geometry(target)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [float(v).hex() if isinstance(v, float) else v for v in got] == [
+        float(v).hex() if isinstance(v, float) else v for v in want
+    ]
+
+
+@pytest.mark.parametrize("target, t", [
+    (TWO_ATOM, 0.7), (GMM3, 0.0), (GMM3, 2.5),
+    (GaussianMixtureTarget([[0.0, 1.0], [2.0, -1.0]], [0.5, 2.0], [0.4, 0.6]), 0.3),
+], ids=["atoms", "gmm3_t0", "gmm3", "gmm_2d"])
+def test_marginal_logpdf_matches_allocating_formula(target, t):
+    view = MarginalView(target, OU, t)
+    means, variances, weights = view.mixture_params()
+    pts = np.random.default_rng(5).normal(0.0, 6.0, (257, target.dim))
+    # The formula as written before the log terms were built in place.
+    pull = means[:, None, :] - pts[None, :, :]
+    sq = np.einsum("knd,knd->kn", pull, pull)
+    coefs = np.log(weights) - 0.5 * target.dim * np.log(2.0 * np.pi * variances)
+    logc = coefs[:, None] - 0.5 * (sq / variances[:, None])
+    m = logc.max(axis=0)
+    want = np.where(np.isfinite(m), m + np.log(np.exp(logc - m).sum(axis=0)), m)
+    got = marginal_logpdf(view, pts[:, 0] if target.dim == 1 else pts)
+    assert got.tobytes() == want.tobytes()
