@@ -41,19 +41,31 @@ def _check_keys(node: dict, path: str, allowed) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
+def _number(value, path: str, integer=False):
+    """``value`` as a float, or as an int when ``integer``; a bool, a string
+    or any other non-number is an error at ``path``."""
+    types, what = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _get_number(node: dict, key: str, path: str, default=None, required=False,
                 integer=False):
-    """``node[key]`` as a float, or as an int when ``integer``; ``default``
-    when the key is absent and not ``required``."""
+    """``node[key]`` as by :func:`_number`; ``default`` when the key is
+    absent and not ``required``."""
     if key not in node:
         if required:
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
-    value = node[key]
-    types, what = (int, "an integer") if integer else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}: expected {what}, got {value!r}")
-    return value if integer else float(value)
+    return _number(node[key], f"{path}.{key}", integer)
+
+
+def _point(value, path: str) -> list:
+    """A location or mean: one number, or a list of numbers."""
+    if isinstance(value, list):
+        return [_number(x, f"{path}[{j}]") for j, x in enumerate(value)]
+    return [_number(value, path)]
 
 
 _TARGET_FIELDS = {"discrete": ("atoms",), "gmm": ("components", "L")}  # besides "type"
@@ -72,9 +84,8 @@ def build_target(node, path: str = "target") -> Target:
         for i, pair in enumerate(atoms):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"{path}.atoms[{i}]: expected [location, weight]")
-            loc, w = pair
-            locations.append(loc if isinstance(loc, list) else [loc])
-            weights.append(w)
+            locations.append(_point(pair[0], f"{path}.atoms[{i}][0]"))
+            weights.append(_number(pair[1], f"{path}.atoms[{i}][1]"))
         try:
             return DiscreteTarget(locations, weights)
         except ValueError as exc:
@@ -92,10 +103,10 @@ def build_target(node, path: str = "target") -> Target:
                 raise ConfigError(
                     f"{path}.components[{i}]: expected [mean, variance, weight]"
                 )
-            mean, var, w = triple
-            means.append(mean if isinstance(mean, list) else [mean])
-            variances.append(var)
-            weights.append(w)
+            where = f"{path}.components[{i}]"
+            means.append(_point(triple[0], f"{where}[0]"))
+            variances.append(_number(triple[1], f"{where}[1]"))
+            weights.append(_number(triple[2], f"{where}[2]"))
         smoothness = _get_number(node, "L", path)
         try:
             return GaussianMixtureTarget(means, variances, weights, smoothness)
@@ -188,7 +199,9 @@ def build_design(node, delta: float, path: str = "sampling") -> SamplingTimeSche
             taus = node.get("taus")
             if not isinstance(taus, list) or not taus:
                 raise ConfigError(f"{path}.taus: expected a nonempty list of times")
-            return SamplingTimeSchedule(taus)
+            return SamplingTimeSchedule(
+                [_number(t, f"{path}.taus[{i}]") for i, t in enumerate(taus)]
+            )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise

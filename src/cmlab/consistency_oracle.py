@@ -55,7 +55,6 @@ __all__ = [
     "pf_ode_consistency",
     "pf_ode_transport",
     "quantile_perturbed",
-    "wrap_fn",
     "consistency_loss",
     "evaluation_error",
 ]
@@ -79,20 +78,20 @@ def _check_step(step) -> float:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ConsistencyFn:
-    """An evaluable map ``(x, t) -> x0`` with bounded output.
+    """An evaluable map ``(x, t) -> x0`` with output norms clamped to
+    ``output_radius``.
 
     ``fn`` receives an ``(n, d)`` array and a strictly positive time;
-    the identity at ``t = 0`` and the output-norm clamp are applied here so
-    every kind behaves identically at the contract level.
+    the identity at ``t = 0`` and the clamp (none by default) are applied
+    here, so any ``(x, t) -> x0`` map can be wrapped directly.
 
-    ``boundary`` is set for threshold-form kinds (two-atom oracles and their
+    ``boundary`` is set for threshold-form maps (two-atom oracles and their
     perturbations): it maps ``t`` to the decision boundary ``a_t``, which is
     what makes the sampler's stage laws analytically computable.
     """
 
     fn: Callable
-    output_radius: float
-    kind: str
+    output_radius: float = math.inf
     boundary: Callable | None = None
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
     return lo, hi
 
 
-def _threshold_oracle(lo: float, hi: float, boundary: Callable, kind: str):
+def _threshold_oracle(lo: float, hi: float, boundary: Callable):
     """The rule ``lo`` where ``x < boundary(t)``, else ``hi`` (NaN included),
     for two atoms ``lo < hi``: ``np.where``, but as a gather from ``[hi,
     lo]`` indexed by the comparison, which on unordered points, such as a
@@ -153,9 +152,7 @@ def _threshold_oracle(lo: float, hi: float, boundary: Callable, kind: str):
         np.less(x, boundary(t), out=index, casting="unsafe")
         return np.take([hi, lo], index)
 
-    return ConsistencyFn(
-        fn=fn, output_radius=max(abs(lo), abs(hi)), kind=kind, boundary=boundary
-    )
+    return ConsistencyFn(fn, max(abs(lo), abs(hi)), boundary)
 
 
 def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> ConsistencyFn:
@@ -171,7 +168,7 @@ def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> Consiste
     def boundary(t: float) -> float:
         return mid * float(schedule.alpha(t))
 
-    return _threshold_oracle(lo, hi, boundary, "ExactTwoPoint")
+    return _threshold_oracle(lo, hi, boundary)
 
 
 def _gaussian_slope(v: float, schedule: NoiseSchedule, t: float):
@@ -202,7 +199,7 @@ def exact_single_gaussian(
         a, slope = _gaussian_slope(v, schedule, t)
         return m[None, :] + slope * (x - a * m[None, :])
 
-    return ConsistencyFn(fn=fn, output_radius=math.inf, kind="Wrapped")
+    return ConsistencyFn(fn)
 
 
 def gaussian_affine_map(
@@ -342,7 +339,7 @@ def pf_ode_consistency(
         y = pf_ode_transport(target, schedule, x, t, 0.0, step)
         return y + _mixture_score(y, at_floor, floor2)[0]
 
-    return ConsistencyFn(fn=fn, output_radius=radius, kind="PfOde")
+    return ConsistencyFn(fn, radius)
 
 
 def quantile_perturbed(
@@ -376,18 +373,7 @@ def quantile_perturbed(
             )
         return marginal_quantile_1d(MarginalView(target, schedule, t), u)
 
-    return _threshold_oracle(lo, hi, boundary, "QuantilePerturbed")
-
-
-def wrap_fn(
-    fn: Callable, output_radius: float = math.inf, kind: str = "Wrapped"
-) -> ConsistencyFn:
-    """Wrap an arbitrary ``(x, t) -> x0`` map as a ConsistencyFn.
-
-    The wrapper supplies the identity at ``t = 0`` and the output clamp; the
-    wrapped function is only consulted at strictly positive times.
-    """
-    return ConsistencyFn(fn=fn, output_radius=output_radius, kind=kind)
+    return _threshold_oracle(lo, hi, boundary)
 
 
 def _mean_squared_gap(view: MarginalView, pair: Callable, n: int, seed):

@@ -24,7 +24,6 @@ __all__ = [
     "w2_stderr_proxy",
     "tv_grid",
     "kl_grid",
-    "tv_discrete_1d",
 ]
 
 _TRUNCATION_LIMIT = 1e-3
@@ -214,18 +213,3 @@ def kl_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int = 10001) -> GridInte
     integrand = np.zeros_like(pa)
     integrand[live] = pa[live] * (np.log(pa[live]) - np.log(pb[live]))
     return GridIntegral(integrate(integrand), *truncation)
-
-
-def tv_discrete_1d(samples, target) -> float:
-    """TV between nearest-atom-classified samples and an atomic target.
-
-    Only meaningful for sanity checks of exact oracles whose outputs sit on
-    the atoms; smooth-target guarantees use :func:`tv_grid` instead.
-    """
-    samples = _flat_1d(samples, "samples")
-    locs = np.sort(np.asarray(target.locations, dtype=float)[:, 0])
-    order = np.argsort(np.asarray(target.locations, dtype=float)[:, 0])
-    weights = np.asarray(target.weights, dtype=float)[order]
-    idx = np.argmin(np.abs(samples[:, None] - locs[None, :]), axis=1)
-    counts = np.bincount(idx, minlength=locs.size).astype(float)
-    return 0.5 * float(np.abs(counts / samples.size - weights).sum())

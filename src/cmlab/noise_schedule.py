@@ -5,22 +5,18 @@ the Gaussian conditional law of the forward process,
 
     x_t | x_0  ~  N(alpha(t) * x_0, sigma2(t) * I),
 
-with initial conditions ``alpha(0) = 1`` and ``sigma2(0) = 0``.  The
-equivalent SDE coefficients are
-
-    h(t)  = d log alpha(t) / dt,
-    g2(t) = d sigma2(t) / dt - 2 h(t) sigma2(t).
+with initial conditions ``alpha(0) = 1`` and ``sigma2(0) = 0``.  Nothing
+else about the process is used: the sampler, the oracles and the bounds
+all read the schedule through this kernel.
 
 Two closed-form schedules are built in:
 
-* ``make_ou``: alpha = exp(-t), sigma2 = 1 - exp(-2t), i.e. (h, g2) = (-1, 2)
+* ``make_ou``: alpha = exp(-t), sigma2 = 1 - exp(-2t)
   (an Ornstein-Uhlenbeck / variance-preserving process);
-* ``make_ve``: alpha = 1, sigma2 = t**2, i.e. (h, g2) = (0, 2t)
-  (a variance-exploding process).
+* ``make_ve``: alpha = 1, sigma2 = t**2 (a variance-exploding process).
 
 Custom schedules are supplied as tabulated ``(t, alpha, sigma2)`` columns and
-interpolated with a monotone cubic; their SDE coefficients come from the
-exact derivative of that cubic.
+interpolated with a monotone cubic.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ __all__ = [
     "make_ve",
     "make_custom",
     "custom_from_csv",
-    "drift_diffusion",
     "contraction",
 ]
 
@@ -55,11 +50,6 @@ class NoiseSchedule:
     alpha, sigma2 : callable
         Vectorized functions of time. ``alpha`` must stay positive and
         ``sigma2`` nondecreasing with ``alpha(0) = 1``, ``sigma2(0) = 0``.
-    drift : callable
-        Vectorized ``t -> (h(t), g2(t))``, the SDE coefficients of
-        ``(alpha, sigma2)`` in closed form.
-    kind : str
-        One of ``"ou"``, ``"ve"``, ``"custom"``.
     t_max : float or None
         Upper end of the valid time domain; ``None`` means unbounded
         (closed-form schedules are valid wherever their formulas are).
@@ -67,13 +57,9 @@ class NoiseSchedule:
 
     alpha: Callable
     sigma2: Callable
-    drift: Callable
-    kind: str
     t_max: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ou", "ve", "custom"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         a0 = float(np.asarray(self.alpha(0.0)))
         s0 = float(np.asarray(self.sigma2(0.0)))
         if not math.isclose(a0, 1.0, rel_tol=0, abs_tol=1e-9):
@@ -82,10 +68,13 @@ class NoiseSchedule:
             raise ValueError(f"sigma2(0) must be 0, got {s0!r}")
 
     def check_time(self, t) -> np.ndarray:
-        """Validate ``t`` against the schedule domain and return it as array."""
+        """Check that ``t`` is finite and inside the schedule domain, and
+        return it as an array."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise NumericError(f"time must be >= 0, got {t!r}")
+        if not np.all(np.isfinite(t)):
+            raise NumericError(f"time must be finite, got {t!r}")
         if self.t_max is not None and np.any(t > self.t_max * (1 + 1e-12)):
             raise NumericError(
                 f"time {t!r} outside the schedule domain [0, {self.t_max}]"
@@ -107,11 +96,7 @@ def make_ou() -> NoiseSchedule:
         # -expm1 keeps full precision for small t where 1 - exp(-2t) cancels.
         return -np.expm1(-2.0 * np.asarray(t, dtype=float))
 
-    def drift(t):
-        t = np.asarray(t, dtype=float)
-        return -np.ones_like(t), 2.0 * np.ones_like(t)
-
-    return NoiseSchedule(alpha, sigma2, drift, kind="ou")
+    return NoiseSchedule(alpha, sigma2)
 
 
 def make_ve() -> NoiseSchedule:
@@ -124,11 +109,7 @@ def make_ve() -> NoiseSchedule:
         t = np.asarray(t, dtype=float)
         return t * t
 
-    def drift(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t), 2.0 * t
-
-    return NoiseSchedule(alpha, sigma2, drift, kind="ve")
+    return NoiseSchedule(alpha, sigma2)
 
 
 # A custom table is rejected when its interpolated g2 falls below
@@ -143,11 +124,12 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
 
     Every value must be finite.  The table must start at ``t = 0`` with
     ``alpha = 1`` and ``sigma2 = 0``, keep ``alpha`` positive, and keep
-    ``sigma2`` nondecreasing.  The drift ``h = alpha'/alpha``, ``g2 =
-    sigma2' - 2 h sigma2`` uses the exact derivatives of the two
-    interpolants, and ``g2`` must not go negative at the tabulated times or
-    their midpoints (up to a relative ``1e-3`` allowance for interpolation
-    error).
+    ``sigma2`` nondecreasing.  The SDE diffusion ``g2 = sigma2' - 2 h
+    sigma2``, ``h = alpha'/alpha``, taken from the exact derivatives of the
+    two interpolants, must not go negative at the tabulated times or their
+    midpoints (up to a relative ``1e-3`` allowance for interpolation
+    error): ``g2 = alpha**2 d(sigma2/alpha**2)/dt``, so otherwise the
+    kernel from ``s`` to ``t > s`` would need a negative variance.
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha_values, dtype=float)
@@ -172,15 +154,9 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
 
     alpha_i = PchipInterpolator(t, a, extrapolate=True)
     sigma2_i = PchipInterpolator(t, s2, extrapolate=True)
-    dalpha_i = alpha_i.derivative()
-    dsigma2_i = sigma2_i.derivative()
-
-    def drift(x):
-        h = dalpha_i(x) / alpha_i(x)
-        return h, dsigma2_i(x) - 2.0 * h * sigma2_i(x)
-
     checks = np.concatenate([t, 0.5 * (t[:-1] + t[1:])])
-    g2 = np.asarray(drift(checks)[1])
+    h = alpha_i.derivative()(checks) / alpha_i(checks)
+    g2 = sigma2_i.derivative()(checks) - 2.0 * h * sigma2_i(checks)
     if np.min(g2) < -_G2_RTOL * np.max(np.abs(g2)):
         k = int(np.argmin(g2))
         raise ValueError(
@@ -188,7 +164,7 @@ def make_custom(t, alpha_values, sigma2_values) -> NoiseSchedule:
             f"t = {float(checks[k])!r}: "
             "sigma2 must grow at least as fast as 2 h sigma2"
         )
-    return NoiseSchedule(alpha_i, sigma2_i, drift, kind="custom", t_max=float(t[-1]))
+    return NoiseSchedule(alpha_i, sigma2_i, t_max=float(t[-1]))
 
 
 def custom_from_csv(path) -> NoiseSchedule:
@@ -212,13 +188,6 @@ def custom_from_csv(path) -> NoiseSchedule:
     return make_custom(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
-def drift_diffusion(schedule: NoiseSchedule, t):
-    """SDE coefficients ``(h(t), g2(t))`` of the schedule, in closed form
-    for every kind (custom schedules differentiate their interpolants
-    exactly), on the whole time domain including ``t = 0``."""
-    return schedule.drift(schedule.check_time(t))
-
-
 def contraction(schedule: NoiseSchedule, t):
     """Contraction factor ``alpha(t)**2 / sigma2(t)``; undefined at t = 0."""
     t = schedule.check_time(t)
@@ -237,10 +206,10 @@ class TrainingPartition:
     m: int
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m!r}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
+        if not 1 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 1, got {self.m!r}")
 
     @property
     def horizon(self) -> float:

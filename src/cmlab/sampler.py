@@ -49,14 +49,13 @@ __all__ = [
     "smooth_output",
     "sigma_eps_optimal",
     "threshold_stage_laws",
-    "threshold_output_weights",
     "affine_stage_laws",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class SamplingTimeSchedule:
-    """Strictly decreasing positive times ``tau_1 > ... > tau_N``."""
+    """Strictly decreasing finite positive times ``tau_1 > ... > tau_N``."""
 
     taus: tuple
 
@@ -66,6 +65,8 @@ class SamplingTimeSchedule:
             raise ValueError("need at least one sampling time")
         if any(t <= 0 for t in taus):
             raise ValueError(f"sampling times must be positive, got {taus}")
+        if not all(math.isfinite(t) for t in taus):
+            raise ValueError(f"sampling times must be finite, got {taus}")
         if any(a <= b for a, b in zip(taus, taus[1:])):
             raise ValueError(f"sampling times must be strictly decreasing, got {taus}")
         object.__setattr__(self, "taus", taus)
@@ -93,7 +94,6 @@ class TrajectoryRecord:
 
     taus: SamplingTimeSchedule
     denoised: np.ndarray  # (N, n, d)
-    seed: object  # whatever seed material the run was keyed on
 
     def __post_init__(self):
         if self.denoised.shape[0] != self.taus.n_steps:
@@ -165,7 +165,7 @@ def multistep_sample(
             for future in futures:
                 future.result()
             denoised[i] = fhat(x, t)
-    return TrajectoryRecord(taus=taus, denoised=denoised, seed=seed)
+    return TrajectoryRecord(taus=taus, denoised=denoised)
 
 
 def _lane_count() -> int:
@@ -315,17 +315,6 @@ def threshold_stage_laws(
         law = DiscreteTarget([[lo], [hi]], [r, 1.0 - r])
         views.append(MarginalView(law, schedule, t_next))
     return views
-
-
-def threshold_output_weights(
-    views: list[MarginalView], taus: SamplingTimeSchedule, boundary
-) -> list[tuple[float, float]]:
-    """Atom weights of each stage's *denoised* law for a threshold estimator."""
-    out = []
-    for view, t in zip(views, taus.taus):
-        r = float(marginal_cdf_1d(view, boundary(t)))
-        out.append((r, 1.0 - r))
-    return out
 
 
 def affine_stage_laws(

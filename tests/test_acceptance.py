@@ -19,6 +19,7 @@ import scipy.stats
 import cmlab
 from cmlab import (
     BoundInputs,
+    ConsistencyFn,
     DiscreteTarget,
     GaussianMixtureTarget,
     MarginalView,
@@ -337,9 +338,7 @@ def test_c9_tv_bound_for_smoothed_gaussian_run():
     def fhat_fn(x, t):
         return (1.0 + 0.01 * t) * f(x, t)
 
-    from cmlab import wrap_fn
-
-    fhat = wrap_fn(fhat_fn, kind="SlopePerturbed")
+    fhat = ConsistencyFn(fhat_fn)
     taus = SamplingTimeSchedule((10.0, 2.0))
     rate = measure_eps_over_delta(
         fhat, target, OU, taus, np.random.SeedSequence([9, 0xC9])

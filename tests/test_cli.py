@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import runpy
@@ -255,6 +256,67 @@ def test_lemma_checks_script_imports():
                            run_name="lemma_checks")
     assert callable(names["main"])
     assert sum(name.startswith("check_") for name in names) == 5
+
+
+def test_bench_trace_hooks_exist():
+    """Every name the benchmark's tracer patches is still there, so a
+    rename breaks this test rather than a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = [(module, attr) for module, attr, _, _ in spans._PATCHES]
+    hooks += [("consistency_oracle", "_pf_ode_field"),
+              ("consistency_oracle", "marginal_score_path")]
+    for module, attr in hooks:
+        assert hasattr(importlib.import_module(f"cmlab.{module}"), attr), (module, attr)
+    oracle = importlib.import_module("cmlab.consistency_oracle")
+    assert "__call__" in vars(oracle.ConsistencyFn)
+
+
+# (an edit that puts a non-number in a list cell, the error it must give)
+_LIST_CELLS = {
+    "taus": [
+        (lambda c: c["sampling"].update(taus=[4.0, True]),
+         "sampling.taus[1]: expected a number, got True"),
+        (lambda c: c["sampling"].update(taus=["4", 1.0]),
+         "sampling.taus[0]: expected a number, got '4'"),
+    ],
+    "atoms": [
+        (lambda c: c.update(target={"type": "discrete",
+                                    "atoms": [[0.0, 0.5], [1.0, "0.5"]]}),
+         "target.atoms[1][1]: expected a number, got '0.5'"),
+        (lambda c: c.update(target={"type": "discrete",
+                                    "atoms": [[True, 0.5], [1.0, 0.5]]}),
+         "target.atoms[0][0]: expected a number, got True"),
+        (lambda c: c.update(target={"type": "discrete",
+                                    "atoms": [[[0.0, "1"], 0.5], [[1.0, 1.0], 0.5]]}),
+         "target.atoms[0][0][1]: expected a number, got '1'"),
+    ],
+    "components": [
+        (lambda c: c["target"].update(components=[["0", "1", True]]),
+         "target.components[0][0]: expected a number, got '0'"),
+        (lambda c: c["target"].update(components=[[0.0, 1.0, True]]),
+         "target.components[0][2]: expected a number, got True"),
+        (lambda c: c["target"].update(components=[[0.0, "1", 1.0]]),
+         "target.components[0][1]: expected a number, got '1'"),
+        (lambda c: c["target"].update(components=[[[0.0, False], 1.0, 1.0]]),
+         "target.components[0][0][1]: expected a number, got False"),
+    ],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_LIST_CELLS))
+def test_list_cell_must_be_a_number(tmp_path, capsys, field):
+    for edit, message in _LIST_CELLS[field]:
+        config = _base_config(tmp_path)
+        edit(config)
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(json.dumps(config))
+        for command in ("experiment", "bounds"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_bounds_rejects_measured_rate(tmp_path, capsys):

@@ -25,7 +25,6 @@ from cmlab import (
     pf_ode_transport,
     quantile_perturbed,
     target_quantiles_1d,
-    wrap_fn,
 )
 from cmlab._rng import chunk_moments, map_chunks, merge_moments
 from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
@@ -43,7 +42,7 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=step)
     with pytest.raises(ValueError):
-        ConsistencyFn(fn=lambda x, t: x, output_radius=-1.0, kind="Bad")
+        ConsistencyFn(lambda x, t: x, output_radius=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_identity_at_time_zero_is_bit_exact(x):
         exact_two_point(TWO_ATOM, OU),
         quantile_perturbed(TWO_ATOM, OU),
         pf_ode_consistency(TWO_ATOM, OU),
-        wrap_fn(lambda pts, t: pts * 0.0),
+        ConsistencyFn(lambda pts, t: pts * 0.0),
     ):
         assert float(f(np.array([x]), 0.0)[0]) == x
 
@@ -107,8 +106,8 @@ def test_output_stays_in_support_radius(x, t):
     assert abs(float(f(np.array([x]), t)[0])) <= 100.0
 
 
-def test_wrap_fn_clamps_output_norm():
-    f = wrap_fn(lambda pts, t: pts * 100.0, output_radius=5.0)
+def test_consistency_fn_clamps_output_norm():
+    f = ConsistencyFn(lambda pts, t: pts * 100.0, output_radius=5.0)
     out = f(np.array([[3.0, 4.0]]), 1.0)
     assert np.linalg.norm(out[0]) == pytest.approx(5.0, rel=1e-12)
     # identity at t = 0 is applied before the wrapped map and is not clamped

@@ -12,7 +12,6 @@ from cmlab import (
     GaussianMixtureTarget,
     NumericError,
     kl_grid,
-    tv_discrete_1d,
     tv_grid,
     w2_empirical_1d,
     w2_stderr_proxy,
@@ -329,12 +328,3 @@ def test_grid_prologue_errors_on_each_side(grid):
 def test_kl_support_violation():
     with pytest.raises(NumericError, match="support"):
         kl_grid(gauss_pdf(0, 1), gauss_pdf(300, 0.01), -12, 312, n_grid=200001)
-
-
-def test_tv_discrete():
-    samples = np.array([0.0, 0.0, 100.0, 100.0])
-    assert tv_discrete_1d(samples, TWO_ATOM) == 0.0
-    samples = np.array([0.0, 0.0, 0.0, 100.0])
-    assert tv_discrete_1d(samples, TWO_ATOM) == pytest.approx(0.25, rel=1e-12)
-    # nearest-atom classification: 49 belongs to the 0 atom
-    assert tv_discrete_1d(np.array([49.0, 51.0]), TWO_ATOM) == 0.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab import (
+    ConsistencyFn,
     DiscreteTarget,
     GaussianMixtureTarget,
     NumericError,
@@ -21,14 +22,13 @@ from cmlab import (
     gaussian_affine_map,
     make_ou,
     make_ve,
+    marginal_cdf_1d,
     multistep_sample,
     pf_ode_consistency,
     quantile_perturbed,
     sigma_eps_optimal,
     smooth_output,
-    threshold_output_weights,
     threshold_stage_laws,
-    wrap_fn,
 )
 from cmlab import sampler
 from cmlab._rng import N_CHUNKS, chunk_rngs, chunk_sizes
@@ -46,6 +46,12 @@ def test_schedule_validation():
         SamplingTimeSchedule((2.0, 2.0))
     with pytest.raises(ValueError):
         SamplingTimeSchedule((1.0, 2.0))
+
+
+@pytest.mark.parametrize("taus", [(math.nan,), (math.inf, 1.0), (2.0, math.nan)])
+def test_schedule_rejects_non_finite_times(taus):
+    with pytest.raises(ValueError, match="finite"):
+        SamplingTimeSchedule(taus)
 
 
 def test_truncated():
@@ -67,7 +73,7 @@ def _recording(fhat):
         seen.append(pts.copy())
         return fhat(pts, t)
 
-    return wrap_fn(fn), lambda: np.stack(seen)
+    return ConsistencyFn(fn), lambda: np.stack(seen)
 
 
 def test_single_step_proportions():
@@ -97,7 +103,7 @@ def test_trajectory_record_shapes_and_determinism():
 
 
 def test_multidimensional_sampling():
-    f, noisy = _recording(wrap_fn(lambda pts, t: 0.0 * pts))
+    f, noisy = _recording(ConsistencyFn(lambda pts, t: 0.0 * pts))
     rec = multistep_sample(f, OU, SamplingTimeSchedule((5.0, 1.0)), 500, 0, dim=3)
     assert noisy().shape == (2, 500, 3)
     np.testing.assert_array_equal(rec.output, np.zeros((500, 3)))
@@ -196,10 +202,10 @@ def test_one_oracle_call_per_stage():
         return 0.5 * pts
 
     taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
-    f, rec_noisy = _recording(wrap_fn(fn))
+    f, rec_noisy = _recording(ConsistencyFn(fn))
     rec = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
     assert calls == [(t, (1001, 2)) for t in taus.taus]
-    noisy, denoised = _chunk_major_reference(wrap_fn(fn), OU, taus, 1001, seed=4, dim=2)
+    noisy, denoised = _chunk_major_reference(ConsistencyFn(fn), OU, taus, 1001, seed=4, dim=2)
     np.testing.assert_array_equal(rec_noisy(), noisy)
     np.testing.assert_array_equal(rec.denoised, denoised)
 
@@ -313,7 +319,9 @@ def test_threshold_stage_laws_match_sampler():
     f = exact_two_point(TWO_ATOM, OU)
     taus = SamplingTimeSchedule((14.0, 9.0))
     views = threshold_stage_laws(TWO_ATOM, OU, taus, f.boundary)
-    weights = threshold_output_weights(views, taus, f.boundary)
+    weights = [
+        float(marginal_cdf_1d(view, f.boundary(t))) for view, t in zip(views, taus.taus)
+    ]
     assert len(views) == 2 and len(weights) == 2
 
     # stage 1 is pure noise
@@ -326,7 +334,7 @@ def test_threshold_stage_laws_match_sampler():
     se = math.sqrt(0.25 / n)
     for stage in range(2):
         p_emp = float((rec.denoised[stage][:, 0] == 0.0).mean())
-        assert abs(p_emp - weights[stage][0]) < 4.0 * se
+        assert abs(p_emp - weights[stage]) < 4.0 * se
 
 
 def test_threshold_stage_laws_need_two_atoms():
