@@ -188,11 +188,13 @@ class TailBoundBreakdown:
 
 
 def w2_bound_tail(inputs: BoundInputs) -> TailBoundBreakdown:
-    """General W2 bound plus a sub-Gaussian-tail correction.
+    """General W2 bound plus an exponential-tail correction.
 
-    The tail term is ``tail_coeff * R * exp(-R / (2C))``; the analysis only
-    pins it up to an absolute constant, so the coefficient is an explicit
-    config input (default 1) rather than a hidden choice.
+    The tail term is ``tail_coeff * R * exp(-R / (2C))``, the form of a tail
+    ``P(|X| > r) <= c exp(-r / C)``; the analysis only pins it up to an
+    absolute constant, so the coefficient is an explicit config input
+    (default 1) rather than a hidden choice.  ``tail_c`` (the ``c``) is
+    required but does not enter the term.
     """
     inputs._require("radius", "tail_c", "tail_big_c")
     if inputs.radius < inputs.tail_big_c:

@@ -168,7 +168,8 @@ def _stage_bound_inputs(
 
 def _stage_rows(
     label: str,
-    record,
+    taus: SamplingTimeSchedule,
+    denoised: np.ndarray,
     target,
     schedule,
     eps_over_delta: float,
@@ -177,34 +178,27 @@ def _stage_rows(
 ) -> list[ResultRow]:
     """Empirical W2 per stage plus bound values for the truncated schedules.
 
-    ``quantiles`` are the run's :func:`~cmlab.metrics.coupling_quantiles`,
-    shared by every stage.
+    ``denoised`` is the stage array of :func:`multistep_sample`,
+    ``quantiles`` the run's :func:`~cmlab.metrics.coupling_quantiles`, and
+    ``tv_info`` the ``(sigma_eps, tvs)`` of :func:`_analytic_tv_info`.
     """
+    sigma_eps, tvs = tv_info or (None, None)
     rows = []
-    taus = record.taus
-    stage_inputs = _stage_bound_inputs(
-        target, schedule, taus, eps_over_delta,
-        tv_info["sigma_eps"] if tv_info else None,
-    )
+    stage_inputs = _stage_bound_inputs(target, schedule, taus, eps_over_delta, sigma_eps)
     for i, inputs in enumerate(stage_inputs, start=1):
-        tau_i = taus.taus[i - 1]
-        w2, proxy = _coupling_w2(record.denoised[i - 1], quantiles)
-        tv_value = tv_bound_value = None
-        if tv_info is not None:
-            tv_value = tv_info["tv_of_stage"](i)
-            tv_bound_value = tv_bound(inputs).total
+        w2, proxy = _coupling_w2(denoised[i - 1], quantiles)
         rows.append(
             ResultRow(
                 schedule_label=label,
                 stage=i,
-                tau=tau_i,
+                tau=taus.taus[i - 1],
                 w2=w2,
                 w2_stderr_proxy=proxy,
                 bound_general=w2_bound_general(inputs).total,
                 bound_modified=w2_bound_modified(inputs).total,
                 kl_bound_stage=kl_bound(inputs, i),
-                tv=tv_value,
-                tv_bound=tv_bound_value,
+                tv=None if tvs is None else tvs[i - 1],
+                tv_bound=None if tvs is None else tv_bound(inputs).total,
             )
         )
     return rows
@@ -248,9 +242,10 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
     quantiles = coupling_quantiles(target, n)
     all_rows: list[ResultRow] = []
     for (label, taus), child in zip(designs, children):
-        record = multistep_sample(estimator, schedule, taus, n, child)
+        denoised = multistep_sample(estimator, schedule, taus, n, child)
         all_rows.extend(
-            _stage_rows(label, record, target, schedule, eps_over_delta, quantiles)
+            _stage_rows(label, taus, denoised, target, schedule, eps_over_delta,
+                        quantiles)
         )
     write_rows_csv(out, all_rows)
 
@@ -306,10 +301,12 @@ def _gaussian_pdf(mean: float, var: float):
 
 
 def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
-    """Closed-form TV machinery for single-Gaussian targets + exact estimator.
+    """Closed-form TV for single-Gaussian targets + exact estimator.
 
-    Returns None when TV is not requested; raises when it is requested but
-    the configuration admits no analytic output law.
+    Returns ``(sigma_eps, tvs)``: the smoothing level and, per stage, the TV
+    between the smoothed output law and the target.  Returns None when TV
+    is not requested; raises when it is requested but the configuration
+    admits no analytic output law.
     """
     if not cfg.want_tv:
         return None
@@ -325,18 +322,18 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
             "1-D target with the exact estimator (no density estimation is done)"
         )
     target_law = (float(cfg.target.means[0, 0]), float(cfg.target.variances[0]))
-
-    def tv_of_stage(i: int) -> float:
-        _, (mean, var) = affine_stage_laws(
-            cfg.schedule, cfg.taus.truncated(i),
-            lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t),
-        )
+    _, outputs = affine_stage_laws(
+        cfg.schedule, cfg.taus,
+        lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t),
+    )
+    tvs = []
+    for mean, var in outputs:
         laws = ((mean, var + sigma_eps * sigma_eps), target_law)
         lo = min(m - 12 * math.sqrt(v) for m, v in laws)
         hi = max(m + 12 * math.sqrt(v) for m, v in laws)
-        return tv_grid(*(_gaussian_pdf(m, v) for m, v in laws), lo, hi, 20001).value
-
-    return {"sigma_eps": sigma_eps, "tv_of_stage": tv_of_stage}
+        pdfs = (_gaussian_pdf(m, v) for m, v in laws)
+        tvs.append(tv_grid(*pdfs, lo, hi, 20001).value)
+    return sigma_eps, tvs
 
 
 def cmd_experiment(config_path: str) -> int:
@@ -351,17 +348,17 @@ def cmd_experiment(config_path: str) -> int:
         eps_over_delta = float(cfg.eps_over_delta)
     tv_info = _analytic_tv_info(cfg, eps_over_delta)
     quantiles = coupling_quantiles(cfg.target, cfg.n)
-    record = multistep_sample(
+    denoised = multistep_sample(
         cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed, dim=cfg.target.dim
     )
     rows = _stage_rows(
-        cfg.label, record, cfg.target, cfg.schedule, eps_over_delta, quantiles,
-        tv_info,
+        cfg.label, cfg.taus, denoised, cfg.target, cfg.schedule, eps_over_delta,
+        quantiles, tv_info,
     )
     write_rows_csv(cfg.out, rows)
     print(f"{cfg.label}: taus = {list(cfg.taus.taus)}, n = {cfg.n}, seed = {cfg.seed}")
     if tv_info is not None:
-        print(f"smoothing sigma_eps = {tv_info['sigma_eps']:.6g}")
+        print(f"smoothing sigma_eps = {tv_info[0]:.6g}")
     _print_rows(rows)
     print(f"wrote {cfg.out}")
     return 0

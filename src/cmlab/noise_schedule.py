@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,8 +209,9 @@ class TrainingPartition:
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
-        if not 1 <= self.m < math.inf:
-            raise ValueError(f"m must be finite and >= 1, got {self.m!r}")
+        m = self.m
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"m must be a finite integer >= 1, got {m!r}")
 
     @property
     def horizon(self) -> float:

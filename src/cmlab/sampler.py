@@ -41,12 +41,10 @@ from .target_dist import DiscreteTarget, MarginalView, marginal_cdf_1d
 
 __all__ = [
     "SamplingTimeSchedule",
-    "TrajectoryRecord",
     "multistep_sample",
     "design_two_step_ou",
     "design_halving_ve",
     "design_uniform",
-    "smooth_output",
     "sigma_eps_optimal",
     "threshold_stage_laws",
     "affine_stage_laws",
@@ -82,29 +80,6 @@ class SamplingTimeSchedule:
         return SamplingTimeSchedule(self.taus[:i])
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TrajectoryRecord:
-    """The per-stage outputs of one multistep-sampling run.
-
-    ``denoised[i]`` holds the stage-(i+1) ``x0`` predictions, ``(n, d)``.
-    The noisy points ``x_{tau_{i+1}}`` are not kept; they are the inputs of
-    the stage's consistency-function call, so a caller that needs them can
-    record them there.
-    """
-
-    taus: SamplingTimeSchedule
-    denoised: np.ndarray  # (N, n, d)
-
-    def __post_init__(self):
-        if self.denoised.shape[0] != self.taus.n_steps:
-            raise ValueError("stage count mismatch between taus and arrays")
-
-    @property
-    def output(self) -> np.ndarray:
-        """Final denoised samples ``x0_N``."""
-        return self.denoised[-1]
-
-
 def multistep_sample(
     fhat: ConsistencyFn,
     schedule: NoiseSchedule,
@@ -112,8 +87,10 @@ def multistep_sample(
     n: int,
     seed,
     dim: int = 1,
-) -> TrajectoryRecord:
-    """Run multistep consistency sampling, keeping every stage's ``x0``.
+) -> np.ndarray:
+    """Run multistep consistency sampling and return every stage's ``x0``
+    as one ``(N, n, d)`` array, whose last entry is the sampler's output.
+    The noisy points are not kept; ``fhat`` sees them and may record them.
 
     The ``n`` rows are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
@@ -165,7 +142,7 @@ def multistep_sample(
             for future in futures:
                 future.result()
             denoised[i] = fhat(x, t)
-    return TrajectoryRecord(taus=taus, denoised=denoised)
+    return denoised
 
 
 def _lane_count() -> int:
@@ -268,15 +245,6 @@ def design_uniform(horizon: float, n_steps: int, delta: float) -> SamplingTimeSc
     return SamplingTimeSchedule(tuple(i * delta for i in indices))
 
 
-def smooth_output(samples, sigma_eps: float, seed) -> np.ndarray:
-    """Add isotropic ``N(0, sigma_eps^2)`` noise to every sample."""
-    if not sigma_eps > 0:
-        raise NumericError(f"sigma_eps must be > 0, got {sigma_eps!r}")
-    samples = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(seed)
-    return samples + sigma_eps * rng.standard_normal(samples.shape)
-
-
 def sigma_eps_optimal(tau_n: float, eps: float, delta: float, d: int, smoothness: float) -> float:
     """Smoothing level ``sqrt(tau_N * eps / (4 d L delta))`` minimizing the
     sum of the final-evaluation and smoothing terms of the TV bound."""
@@ -321,24 +289,24 @@ def affine_stage_laws(
     schedule: NoiseSchedule,
     taus: SamplingTimeSchedule,
     affine_of_t,
-) -> tuple[list[tuple[float, float]], tuple[float, float]]:
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Exact Gaussian stage laws of the sampler for an affine estimator.
 
     ``affine_of_t(t) -> (slope, intercept)`` describes the estimator
-    ``fhat(x, t) = slope * x + intercept`` (1-D).  Returns the list of
-    ``(mean, variance)`` of the noisy law at each stage and the
-    ``(mean, variance)`` of the final denoised output.
+    ``fhat(x, t) = slope * x + intercept`` (1-D).  Returns the
+    ``(mean, variance)`` of the noisy law at each stage and of each stage's
+    denoised output; ``outputs[-1]`` is the sampler's output law, and
+    ``outputs[i - 1]`` is bitwise that of ``taus.truncated(i)``.
     """
     ts = taus.taus
     mean, var = 0.0, float(schedule.sigma2(ts[0]))
-    stages = [(mean, var)]
-    for t, t_next in zip(ts, ts[1:]):
+    stages, outputs = [], []
+    for i, t in enumerate(ts):
+        if i:
+            a = float(schedule.alpha(t))
+            mean, var = a * mean, a * a * var + float(schedule.sigma2(t))
+        stages.append((mean, var))
         slope, intercept = affine_of_t(t)
         mean, var = slope * mean + intercept, slope * slope * var
-        a = float(schedule.alpha(t_next))
-        s2 = float(schedule.sigma2(t_next))
-        mean, var = a * mean, a * a * var + s2
-        stages.append((mean, var))
-    slope, intercept = affine_of_t(ts[-1])
-    out = (slope * mean + intercept, slope * slope * var)
-    return stages, out
+        outputs.append((mean, var))
+    return stages, outputs

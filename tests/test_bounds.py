@@ -180,21 +180,27 @@ def test_tv_bound_value():
     smooth=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_optimal_smoothing_balances_terms(tau, r, d, smooth):
-    sig = sigma_eps_optimal(tau, r, 1.0, d, smooth)
-    got = tv_bound(
-        BoundInputs(
-            OU,
-            SamplingTimeSchedule((tau,)),
-            r,
-            second_moment=1.0,
-            d=d,
-            smoothness=smooth,
-            sigma_eps=sig,
+    def bound(sigma_eps):
+        return tv_bound(
+            BoundInputs(
+                OU,
+                SamplingTimeSchedule((tau,)),
+                r,
+                second_moment=1.0,
+                d=d,
+                smoothness=smooth,
+                sigma_eps=sigma_eps,
+            )
         )
-    )
+
+    sig = sigma_eps_optimal(tau, r, 1.0, d, smooth)
+    got = bound(sig)
     want = 2.0 * math.sqrt(tau * d * smooth * r)
     assert got.cm_term + got.smoothing_term == pytest.approx(want, rel=1e-9)
     assert got.cm_term == pytest.approx(got.smoothing_term, rel=1e-9)
+    # and the optimum minimises the whole bound
+    for scale in (0.25, 0.5, 2.0, 4.0):
+        assert bound(scale * sig).total >= got.total
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +334,8 @@ def test_sqrt_loss_accumulation():
     step-0 loss is identically zero — the ODE flow from t = 0 starts every
     conditional trajectory on its atom's mean path, so both evaluations in
     the step-0 loss see the same classification — and an anchor at zero
-    would therefore undercount.
+    would therefore undercount.  Checked for the two-step chain (m = 2) and
+    the three-step chain (m = 3).
 
     (kappa is scaled up to 1e-2 so the Monte Carlo margin is decisive at
     n = 10^4.)
@@ -336,21 +343,27 @@ def test_sqrt_loss_accumulation():
     target = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
     fhat = quantile_perturbed(target, OU, kappa=1e-2)
     f = exact_two_point(target, OU)
-    part = TrainingPartition(1.0, 2)
-    seeds = np.random.SeedSequence(0xACC).spawn(3)
+    part = TrainingPartition(1.0, 3)
+    seeds = np.random.SeedSequence(0xACC).spawn(5)
     n = 10_000
 
-    loss1 = consistency_loss(fhat, target, OU, part, i=1, n=n, seed=seeds[0])
-    mse1 = evaluation_error(fhat, f, MarginalView(target, OU, 1.0), n, seeds[1])
-    mse2 = evaluation_error(fhat, f, MarginalView(target, OU, 2.0), n, seeds[2])
+    def mse(t, seed):
+        return evaluation_error(fhat, f, MarginalView(target, OU, t), n, seed)
 
-    lhs = math.sqrt(mse2.value)
-    rhs = math.sqrt(mse1.value) + math.sqrt(loss1.value)
-    # conservative first-order error propagation through the square roots
-    se = (
-        mse2.stderr / (2.0 * math.sqrt(mse2.value))
-        + mse1.stderr / (2.0 * math.sqrt(mse1.value))
-        + loss1.stderr / (2.0 * math.sqrt(loss1.value))
-    )
-    assert lhs <= rhs + 3.0 * se
-    assert rhs - lhs > 5.0  # decisively slack at this kappa, not a squeaker
+    loss1 = consistency_loss(fhat, target, OU, part, i=1, n=n, seed=seeds[0])
+    mse1 = mse(1.0, seeds[1])
+    mse2 = mse(2.0, seeds[2])
+    loss2 = consistency_loss(fhat, target, OU, part, i=2, n=n, seed=seeds[3])
+    mse3 = mse(3.0, seeds[4])
+
+    def half_se(est):
+        # first-order error propagation through the square root
+        return est.stderr / (2.0 * math.sqrt(est.value))
+
+    for lhs_est, rhs_ests in ((mse2, (mse1, loss1)), (mse3, (mse1, loss1, loss2))):
+        lhs = math.sqrt(lhs_est.value)
+        rhs = sum(math.sqrt(est.value) for est in rhs_ests)
+        # conservative: the standard errors add rather than in quadrature
+        se = half_se(lhs_est) + sum(half_se(est) for est in rhs_ests)
+        assert lhs <= rhs + 3.0 * se
+        assert rhs - lhs > 5.0  # decisively slack at this kappa, not a squeaker

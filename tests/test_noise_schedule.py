@@ -189,6 +189,12 @@ def test_training_partition():
         TrainingPartition(0.0, 4)
     with pytest.raises(ValueError):
         TrainingPartition(1.0, 0)
+    for m in (2.5, True):
+        with pytest.raises(ValueError, match="m must be"):
+            TrainingPartition(1.0, m)
+    part = TrainingPartition(0.5, np.int64(3))
+    assert part.horizon == 1.5 and part.time_of(3) == 1.5
+    np.testing.assert_array_equal(part.points(), [0.0, 0.5, 1.0, 1.5])
 
 
 @pytest.mark.parametrize("delta, m", [(math.inf, 2), (math.nan, 2), (1.0, math.inf),

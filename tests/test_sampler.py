@@ -27,7 +27,6 @@ from cmlab import (
     pf_ode_consistency,
     quantile_perturbed,
     sigma_eps_optimal,
-    smooth_output,
     threshold_stage_laws,
 )
 from cmlab import sampler
@@ -78,8 +77,8 @@ def _recording(fhat):
 
 def test_single_step_proportions():
     f = exact_two_point(TWO_ATOM, OU)
-    rec = multistep_sample(f, OU, SamplingTimeSchedule((10.0,)), 100_000, seed=0)
-    out = rec.output[:, 0]
+    x0 = multistep_sample(f, OU, SamplingTimeSchedule((10.0,)), 100_000, seed=0)
+    out = x0[-1][:, 0]
     p = float((out == 0.0).mean())
     # initial noise is symmetric about the boundary, so p = 1/2
     assert abs(p - 0.5) < 4.0 * math.sqrt(0.25 / 100_000)
@@ -92,10 +91,9 @@ def test_trajectory_record_shapes_and_determinism():
     (fa, noisy_a), (fb, noisy_b), (fc, noisy_c) = (_recording(f) for _ in range(3))
     a = multistep_sample(fa, OU, taus, 3000, seed=42)
     b = multistep_sample(fb, OU, taus, 3000, seed=42)
-    assert noisy_a().shape == a.denoised.shape == (2, 3000, 1)
+    assert noisy_a().shape == a.shape == (2, 3000, 1)
     np.testing.assert_array_equal(noisy_a(), noisy_b())
-    np.testing.assert_array_equal(a.denoised, b.denoised)
-    np.testing.assert_array_equal(a.output, a.denoised[-1])
+    np.testing.assert_array_equal(a, b)
     multistep_sample(fc, OU, taus, 3000, seed=43)
     assert not np.array_equal(noisy_a(), noisy_c())
     with pytest.raises(NumericError):
@@ -104,9 +102,9 @@ def test_trajectory_record_shapes_and_determinism():
 
 def test_multidimensional_sampling():
     f, noisy = _recording(ConsistencyFn(lambda pts, t: 0.0 * pts))
-    rec = multistep_sample(f, OU, SamplingTimeSchedule((5.0, 1.0)), 500, 0, dim=3)
+    x0 = multistep_sample(f, OU, SamplingTimeSchedule((5.0, 1.0)), 500, 0, dim=3)
     assert noisy().shape == (2, 500, 3)
-    np.testing.assert_array_equal(rec.output, np.zeros((500, 3)))
+    np.testing.assert_array_equal(x0[-1], np.zeros((500, 3)))
     # stage-2 noisy law is then N(0, sigma2(1) I)
     s2 = float(noisy()[1].var())
     assert s2 == pytest.approx(-math.expm1(-2.0), rel=0.15)
@@ -117,10 +115,10 @@ def test_renoising_is_gaussian():
     # standard normal; Anderson-Darling at the 1% level.
     f, noisy = _recording(exact_two_point(TWO_ATOM, OU))
     taus = SamplingTimeSchedule((14.0, 9.0))
-    rec = multistep_sample(f, OU, taus, 2000, seed=0)
+    x0 = multistep_sample(f, OU, taus, 2000, seed=0)
     a2 = math.exp(-9.0)
     s2 = math.sqrt(-math.expm1(-18.0))
-    z = (noisy()[1] - a2 * rec.denoised[0])[:, 0] / s2
+    z = (noisy()[1] - a2 * x0[0])[:, 0] / s2
     res = scipy.stats.anderson(z, dist="norm", method="interpolate")
     assert res.pvalue > 0.01
 
@@ -164,10 +162,10 @@ def test_batched_stages_match_chunk_major_reference(oracle, n):
     make, schedule, times = _ORACLES[oracle]
     taus = SamplingTimeSchedule(times)
     f, rec_noisy = _recording(make())
-    rec = multistep_sample(f, schedule, taus, n, seed=11)
+    x0 = multistep_sample(f, schedule, taus, n, seed=11)
     noisy, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=11)
     np.testing.assert_array_equal(rec_noisy(), noisy)
-    np.testing.assert_array_equal(rec.denoised, denoised)
+    np.testing.assert_array_equal(x0, denoised)
 
 
 def _pretend_cpus(monkeypatch, cpus):
@@ -184,9 +182,9 @@ def test_worker_count_does_not_change_record(monkeypatch, oracle, n, cpus):
     assert sampler._lane_count() == cpus
     make, schedule, times = _ORACLES[oracle]
     taus = SamplingTimeSchedule(times)
-    rec = multistep_sample(make(), schedule, taus, n, seed=7)
+    x0 = multistep_sample(make(), schedule, taus, n, seed=7)
     _, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=7)
-    np.testing.assert_array_equal(rec.denoised, denoised)
+    np.testing.assert_array_equal(x0, denoised)
 
 
 def test_lane_count_is_capped_at_chunk_count(monkeypatch):
@@ -203,11 +201,11 @@ def test_one_oracle_call_per_stage():
 
     taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
     f, rec_noisy = _recording(ConsistencyFn(fn))
-    rec = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
+    x0 = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
     assert calls == [(t, (1001, 2)) for t in taus.taus]
     noisy, denoised = _chunk_major_reference(ConsistencyFn(fn), OU, taus, 1001, seed=4, dim=2)
     np.testing.assert_array_equal(rec_noisy(), noisy)
-    np.testing.assert_array_equal(rec.denoised, denoised)
+    np.testing.assert_array_equal(x0, denoised)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +285,6 @@ def test_halving_stays_on_grid(horizon, delta):
 # smoothing
 
 
-def test_smooth_output():
-    x = np.zeros((20_000, 1))
-    y = smooth_output(x, 0.5, seed=1)
-    assert y.shape == x.shape
-    np.testing.assert_array_equal(y, smooth_output(x, 0.5, seed=1))
-    assert float(y.var()) == pytest.approx(0.25, rel=0.1)
-    with pytest.raises(NumericError):
-        smooth_output(x, 0.0, seed=1)
-
-
 def test_sigma_eps_optimal():
     assert sigma_eps_optimal(2.0, 0.01, 1.0, 1, 1.0) == pytest.approx(
         0.07071067811865475, rel=1e-15
@@ -330,10 +318,10 @@ def test_threshold_stage_laws_match_sampler():
     assert float(variances[0]) == pytest.approx(-math.expm1(-28.0), rel=1e-12)
 
     n = 100_000
-    rec = multistep_sample(f, OU, taus, n, seed=6)
+    x0 = multistep_sample(f, OU, taus, n, seed=6)
     se = math.sqrt(0.25 / n)
     for stage in range(2):
-        p_emp = float((rec.denoised[stage][:, 0] == 0.0).mean())
+        p_emp = float((x0[stage][:, 0] == 0.0).mean())
         assert abs(p_emp - weights[stage]) < 4.0 * se
 
 
@@ -350,15 +338,51 @@ def test_affine_stage_laws_exact_recursion():
     # the stage variances follow sigma2 composition exactly.
     target = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
     taus = SamplingTimeSchedule((10.0, 2.0))
-    stages, out = affine_stage_laws(
+    stages, outputs = affine_stage_laws(
         OU, taus, lambda t: gaussian_affine_map(target, OU, t)
     )
+    out = outputs[-1]
     assert stages[0][0] == 0.0
     assert stages[0][1] == pytest.approx(-math.expm1(-20.0), rel=1e-12)
     assert stages[1][1] == pytest.approx(-math.expm1(-24.0), rel=1e-12)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(-math.expm1(-24.0), rel=1e-12)
 
-    rec = multistep_sample(exact_single_gaussian(target, OU), OU, taus, 50_000, 2)
-    v_emp = float(rec.output.var())
+    x0 = multistep_sample(exact_single_gaussian(target, OU), OU, taus, 50_000, 2)
+    v_emp = float(x0[-1].var())
     assert abs(v_emp - out[1]) < 4.0 * out[1] * math.sqrt(2.0 / 50_000)
+
+
+def _affine_stage_laws_reference(schedule, taus, affine_of_t):
+    """The stage-law recursion stepped denoise-then-renoise: the noisy law
+    of every stage and the denoised law of the last stage only."""
+    ts = taus.taus
+    mean, var = 0.0, float(schedule.sigma2(ts[0]))
+    stages = [(mean, var)]
+    for t, t_next in zip(ts, ts[1:]):
+        slope, intercept = affine_of_t(t)
+        mean, var = slope * mean + intercept, slope * slope * var
+        a = float(schedule.alpha(t_next))
+        s2 = float(schedule.sigma2(t_next))
+        mean, var = a * mean, a * a * var + s2
+        stages.append((mean, var))
+    slope, intercept = affine_of_t(ts[-1])
+    return stages, (slope * mean + intercept, slope * slope * var)
+
+
+def test_affine_stage_outputs_match_truncated_runs():
+    # The TV column reads stage i's output law from one pass; it must be
+    # bitwise the output law of the schedule cut after stage i.
+    target = GaussianMixtureTarget([[2.0]], [0.5], [1.0])
+    taus = SamplingTimeSchedule((4.0, 2.0, 1.0, 0.5))
+
+    def affine(t):
+        return gaussian_affine_map(target, OU, t)
+
+    stages, outputs = affine_stage_laws(OU, taus, affine)
+    assert len(stages) == len(outputs) == taus.n_steps
+    for i in range(1, taus.n_steps + 1):
+        assert outputs[i - 1] == affine_stage_laws(OU, taus.truncated(i), affine)[1][-1]
+        old_stages, old_out = _affine_stage_laws_reference(OU, taus.truncated(i), affine)
+        assert outputs[i - 1] == old_out
+        assert stages[:i] == old_stages
