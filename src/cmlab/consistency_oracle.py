@@ -224,9 +224,10 @@ def _pf_ode_field(target, lams: np.ndarray) -> Callable:
 
     where ``D`` is the posterior-mean denoiser and ``score_lam`` the score
     of the target noised to variances ``v_k + lam**2``: the VE marginal at
-    ``t = lam``.  Returns ``field(j, y)`` for ``(n, d)`` points ``y`` and
-    ``lam = lams[j]``, by one kernel pass of
-    :func:`~cmlab.target_dist.marginal_score_path`.  The responsibilities
+    ``t = lam``.  Returns ``field(j, y)``, a fresh ``(n, d)`` array, for
+    ``(n, d)`` points ``y`` and ``lam = lams[j]``: one call of the tabulated
+    score kernel of :func:`~cmlab.target_dist.marginal_score_path`, whose
+    constants for every node are computed once, here.  The responsibilities
     are a softmax, so the field is defined at every finite point.
     """
     score_at = marginal_score_path(target, _VE, lams)
@@ -321,9 +322,11 @@ def pf_ode_consistency(
 
         y + sum_k r_k (m_k - y) lam**2 / (v_k + lam**2),
 
-    within ``O(lam**2)`` of the ODE's own endpoint.  For atoms the factor
-    ``lam**2 / (v_k + lam**2)`` is exactly 1 and the responsibility of
-    every far atom exactly 0, so a point that has reached an atom's
+    within ``O(lam**2)`` of the ODE's own endpoint.  The posterior mean is
+    computed by :func:`~cmlab.target_dist._mixture_score`, with the exact
+    pull ``m_k - y``, not by the field's tabulated kernel.  For atoms the
+    factor ``lam**2 / (v_k + lam**2)`` is exactly 1 and the responsibility
+    of every far atom exactly 0, so a point that has reached an atom's
     neighbourhood returns that atom bit for bit.  A point exactly on a
     separatrix stays on the saddle and returns the posterior mean there:
     between atoms ``{0, 100}`` under OU the input ``50 alpha_t`` returns 50,

@@ -173,7 +173,9 @@ class MarginalView:
 
 def _noised_params(target: Target, a: float, s2: float):
     """Means ``a x_k``, variances ``a^2 v_k + s2`` and weights of the
-    marginal at noise level ``alpha = a``, ``sigma2 = s2``."""
+    marginal at noise level ``alpha = a``, ``sigma2 = s2``.  Levels of
+    shape ``(nodes, 1, 1)`` give ``(nodes, k, d)`` means and ``(nodes, 1,
+    k)`` variances."""
     locs, vs, ws = _component_params(target)
     return a * locs, a * a * vs + s2, ws
 
@@ -203,19 +205,31 @@ def _log_terms(pts: np.ndarray, mixture):
     return pull, log_terms
 
 
+def _sum_leading(a: np.ndarray) -> np.ndarray:
+    """A fresh sum over the leading axis of ``a``, by elementwise adds in
+    index order, so that an entry's sum does not depend on the shape of
+    the rest (a numpy reduction may pair the terms differently)."""
+    if len(a) == 1:
+        return a[0].copy()
+    out = np.add(a[0], a[1])
+    for term in a[2:]:
+        out += term
+    return out
+
+
 def _log_normalize(logc: np.ndarray):
     """Log-sum-exp over the component axis of a ``(k, n)`` array of log
     terms, split as the column maximum ``m``, the shifted exponentials
     ``e = exp(logc - m)`` and their sum ``s``: the total is
     :func:`_log_total` of ``(m, s)`` and ``e / s`` are the
     responsibilities.  ``e`` is written over ``logc``, so a kernel pass
-    allocates no new ``(k, n)`` array here.  Reducing over the leading axis
-    of a component-major array runs as ``k`` row-wise vector operations."""
+    allocates no new ``(k, n)`` array here, and ``s`` is a fixed-order sum
+    (:func:`_sum_leading`)."""
     m = logc.max(axis=0)
     with np.errstate(invalid="ignore"):
         logc -= m
         e = np.exp(logc, out=logc)
-    return m, e, e.sum(axis=0)
+    return m, e, _sum_leading(e)
 
 
 def _log_total(m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -232,8 +246,11 @@ def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     responsibilities of the components at ``x``.  At ``scale = 1`` this is
     the score; with the variances ``v_k + s2`` of a target noised by
     ``s2`` and ``scale = s2``, ``x`` plus it is the posterior mean
-    ``E[x_0 | x]``.  The one kernel behind :func:`score`,
-    :func:`marginal_score_path` and the PF-ODE denoiser.
+    ``E[x_0 | x]``.  The kernel behind :func:`score` and the posterior mean
+    that ends the PF-ODE oracle; it forms the pull ``m_k - x`` exactly, so
+    a point whose one non-zero responsibility is an atom's, noised by
+    ``s2 = scale``, returns that atom bit for bit.  The PF-ODE field uses
+    the tabulated kernel of :func:`marginal_score_path` instead.
 
     The softmax never underflows: at any finite point the component with
     the largest log term keeps responsibility at least ``1/k``.  Also
@@ -247,9 +264,8 @@ def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     # Every (k, n) and (k, n, d) step is done in place, in the operation
     # order of ``((e / s) / (v / scale)) * pull``, ``e = exp(log_term -
     # max)``; for an atom noised by ``s2 = scale``, ``v / scale`` is exactly
-    # 1.  A field evaluation of the ODE solver then allocates two arrays of
-    # ``k n`` or ``k n d`` elements, not ten, which the allocator would
-    # otherwise hand back to the OS and fault in again on every call.
+    # 1.  A call then allocates two arrays of ``k n`` or ``k n d`` elements,
+    # not ten.
     m, resp, s = _log_normalize(log_terms)
     resp /= s
     resp /= (variances / scale)[:, None]
@@ -322,19 +338,63 @@ def marginal_score_path(
     """The marginal scores at a fixed grid of times, for repeated use.
 
     Returns ``score_at(j, x)``, the score of the time-``times[j]`` marginal
-    at ``(n, d)`` points ``x``.  Unlike :func:`score` it is defined at every
-    finite point, however small the density there: the responsibilities
-    are a softmax, so far out the score is that of the component that
-    dominates there.  The time domain is checked and ``alpha`` and
-    ``sigma2`` are tabulated once for the whole grid, so each call is one
-    kernel pass.
+    at ``(n, d)`` points ``x``, as a fresh ``(n, d)`` array.  Unlike
+    :func:`score` it is defined at every finite point, however small the
+    density there: the responsibilities are a softmax, so far out the score
+    is that of the component that dominates there.
+
+    The time domain is checked once, and every constant of a node ``j`` and
+    a component ``k`` is tabulated here: with ``V = alpha_j^2 v_k +
+    sigma2_j``, the scale ``s = 1 / sqrt(2 V)``, the scaled mean
+    ``alpha_j m_k s``, the log constant ``c = log w_k - (d/2) log(2 pi V)``
+    and the gain ``g = -sqrt(2 / V)``.  A call forms ``Q = x s - alpha_j
+    m_k s``, so that ``|Q|^2 = |x - alpha_j m_k|^2 / (2 V)``, the log terms
+    ``c - |Q|^2``, their shifted exponentials ``e_k``, and the score
+    ``sum_k e_k g Q / sum_k e_k``: multiplies and adds, and one division
+    per point coordinate, none per component.  Each row's result does not
+    depend on the other rows.
+
+    This rounds differently from the exact pull ``m_k - x`` of
+    :func:`_mixture_score`, which :func:`score` and the PF-ODE's posterior
+    mean keep because it returns an atom bit for bit.  A node where a
+    component has zero variance (atoms at ``t = 0``) has no density:
+    building the path succeeds, and calling ``score_at`` there raises
+    :class:`NumericError`.
     """
     times = schedule.check_time(times)
-    a_all = np.asarray(schedule.alpha(times), dtype=float)
-    s2_all = np.asarray(schedule.sigma2(times), dtype=float)
+    a = np.asarray(schedule.alpha(times), dtype=float).reshape(-1, 1, 1)
+    s2 = np.asarray(schedule.sigma2(times), dtype=float).reshape(-1, 1, 1)
+    means, var, ws = _noised_params(target, a, s2)
+    nodes, k, d = means.shape
+    # (nodes, k, 1) tables; a zero variance gives infinite constants, which
+    # are only reached by a call that raises first.
+    var = var.reshape(nodes, k, 1)
+    no_density = np.any(var <= 0, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(2.0 * var)
+        shift = means * scale  # (nodes, k, d)
+        const = np.log(ws)[:, None] - 0.5 * d * np.log(2.0 * np.pi * var)
+        gain = -np.sqrt(2.0 / var)
+    scale = scale[..., None]  # (nodes, k, 1, 1) and (nodes, k, d, 1), to
+    shift = shift[..., None]  # broadcast against (d, n) points
 
     def score_at(j: int, x: np.ndarray) -> np.ndarray:
-        return _mixture_score(x, _noised_params(target, a_all[j], s2_all[j]))[0]
+        if no_density[j]:
+            _require_density(var[j])
+        # Component-major (k, d, n) offsets and (k, n) log terms, each
+        # updated in place after it is made.
+        q = np.multiply(x.T, scale[j])
+        q -= shift[j]
+        logc = np.square(q[:, 0])
+        for i in range(1, d):
+            logc += np.square(q[:, i])
+        np.subtract(const[j], logc, out=logc)
+        _, e, total = _log_normalize(logc)
+        e *= gain[j]
+        q *= e[:, None, :]
+        out = _sum_leading(q)
+        out /= total
+        return out.T
 
     return score_at
 

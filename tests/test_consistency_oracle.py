@@ -21,6 +21,7 @@ from cmlab import (
     make_ou,
     make_ve,
     marginal_quantile_1d,
+    marginal_score_path,
     pf_ode_consistency,
     pf_ode_transport,
     quantile_perturbed,
@@ -280,27 +281,31 @@ def test_pf_ode_field_matches_reference_formula(target, pts, schedule):
 
 
 def _allocating_field(target, lams):
-    """The PF-ODE field as the component-major kernel computed it with a
-    fresh array for every operation; the in-place kernel must reproduce it
-    bit for bit."""
+    """The PF-ODE field by the tabulated kernel's formula, with a fresh
+    array for every operation and point-major ``(k, n, d)`` pulls: the
+    scaled offsets ``q = y s - m s``, ``s = 1 / sqrt(2 V)``, the log terms
+    ``c - |q|^2``, and ``sum_k e_k g q / sum_k e_k`` with ``g = -sqrt(2 /
+    V)``, each sum over ``k`` or ``d`` in index order.  The in-place kernel
+    must reproduce it bit for bit."""
     locs, vs, weights = _components(target)
+    d = locs.shape[1]
 
     def field(j, y):
         lam = lams[j]
         variances = vs + lam * lam
-        pull = locs[:, None, :] - y[None, :, :]
-        sq = np.einsum("knd,knd->kn", pull, pull)
-        z2 = sq / variances[:, None]
-        log_coef = np.log(weights) - 0.5 * locs.shape[1] * np.log(2.0 * np.pi * variances)
-        logc = log_coef[:, None] - 0.5 * z2
-        m = logc.max(axis=0)
-        e = np.exp(logc - m)
-        s = e.sum(axis=0)
-        terms = ((e / s) / variances[:, None])[:, :, None] * pull
-        sc = np.zeros(terms.shape[1:])
-        for term in terms:
-            sc += term
-        return -lam * sc
+        scale = 1.0 / np.sqrt(2.0 * variances)
+        q = y[None, :, :] * scale[:, None, None] - (locs * scale[:, None])[:, None, :]
+        sq = q[:, :, 0] ** 2
+        for i in range(1, d):
+            sq = sq + q[:, :, i] ** 2
+        log_coef = np.log(weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
+        logc = log_coef[:, None] - sq
+        e = np.exp(logc - logc.max(axis=0))
+        terms = q * (e * -np.sqrt(2.0 / variances)[:, None])[:, :, None]
+        total, sc = e[0], terms[0]
+        for i in range(1, len(e)):
+            total, sc = total + e[i], sc + terms[i]
+        return -lam * (sc / total[:, None])
 
     return field
 
@@ -351,6 +356,40 @@ def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
         got = pf_ode_transport(target, schedule, y, t_from, t_to, step=0.05)
         want = _allocating_transport(target, schedule, y, t_from, t_to, 0.05)
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+@pytest.mark.parametrize("target", [TWO_ATOM, _GMM3, _GMM_2D], ids=["atoms", "gmm", "gmm2d"])
+def test_pf_ode_field_rows_do_not_depend_on_the_batch(target, schedule):
+    # A row's field value is the same bits whether it is evaluated with all
+    # rows or in slices of 1, 2, 5 and n - 8 rows.
+    rng = np.random.default_rng(3)
+    y = rng.normal(0.0, 1.0, (40, target.dim)) * rng.choice([0.5, 5.0, 200.0], (40, 1))
+    y[0] = target.locations[0] if isinstance(target, DiscreteTarget) else target.means[0]
+    field = _pf_ode_field(target, _lambdas(schedule, [1e-3, 0.05, 0.4, 1.0, 2.5]))
+    for j in range(5):
+        whole = field(j, y)
+        parts = [field(j, y[a:b]) for a, b in ((0, 1), (1, 3), (3, 8), (8, len(y)))]
+        np.testing.assert_array_equal(
+            np.concatenate(parts).view(np.int64), whole.view(np.int64)
+        )
+
+
+def test_score_path_at_zero_variance_raises_only_when_called():
+    # Atoms at t = 0 have no density: the path still builds, every other
+    # node evaluates, and the t = 0 node raises when it is called.
+    score_at = marginal_score_path(TWO_ATOM, OU, [0.5, 0.0, 1.0])
+    y = np.array([[-3.0], [20.0], [90.0]])
+    with pytest.raises(NumericError):
+        score_at(1, y)
+    for j in (0, 2):
+        first, second = score_at(j, y), score_at(j, y)
+        assert first.shape == y.shape
+        np.testing.assert_array_equal(first, second)
+        # a fresh array every call: RK4 holds four field values at once
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, y)
+        assert np.all(np.isfinite(first))
 
 
 # The GMM of the PF-ODE benchmark workload: three separated components of

@@ -186,6 +186,20 @@ def test_score_vector_shape():
     )
 
 
+def test_score_and_logpdf_rows_do_not_depend_on_the_batch():
+    # With ten components a one-point call must sum the shifted exponentials
+    # in the same order as a call on many points.
+    rng = np.random.default_rng(9)
+    target = GaussianMixtureTarget(
+        rng.uniform(-5.0, 5.0, (10, 1)), rng.uniform(0.2, 2.0, 10), np.full(10, 0.1)
+    )
+    view = MarginalView(target, OU, 0.5)
+    x = rng.uniform(-6.0, 6.0, 64)
+    one_by_one = np.array([[score(view, v)[0], marginal_logpdf(view, v)] for v in x])
+    together = np.column_stack([score(view, x)[:, 0], marginal_logpdf(view, x)])
+    np.testing.assert_array_equal(one_by_one.view(np.int64), together.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # cdf / quantile
 
