@@ -14,7 +14,9 @@ generators from ``chunk_rngs`` and fills each stage's noise in lanes of
 chunks, one thread per usable CPU: a bulk ``standard_normal`` fill and
 elementwise arithmetic on disjoint rows, which release the lock and give
 the same bits for any lane count.  It then makes one batched
-consistency-function call per stage.
+consistency-function call per stage.  A stage's noise reads only the
+previous stage's output, so the draws and their bits are the same whether
+the sampler keeps every stage or hands each one to a per-stage function.
 """
 
 from __future__ import annotations

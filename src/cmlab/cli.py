@@ -169,24 +169,23 @@ def _stage_bound_inputs(
 def _stage_rows(
     label: str,
     taus: SamplingTimeSchedule,
-    denoised: np.ndarray,
+    w2s: list,
     target,
     schedule,
     eps_over_delta: float,
-    quantiles: np.ndarray,
     tv_info=None,
 ) -> list[ResultRow]:
     """Empirical W2 per stage plus bound values for the truncated schedules.
 
-    ``denoised`` is the stage array of :func:`multistep_sample`,
-    ``quantiles`` the run's :func:`~cmlab.metrics.coupling_quantiles`, and
-    ``tv_info`` the ``(sigma_eps, tvs)`` of :func:`_analytic_tv_info`.
+    ``w2s`` holds each stage's ``(w2, proxy)`` pair: what
+    :func:`multistep_sample` returns with :func:`~cmlab.metrics._coupling_w2`
+    as its per-stage function.  ``tv_info`` is the ``(sigma_eps, tvs)`` of
+    :func:`_analytic_tv_info`.
     """
     sigma_eps, tvs = tv_info or (None, None)
     rows = []
     stage_inputs = _stage_bound_inputs(target, schedule, taus, eps_over_delta, sigma_eps)
-    for i, inputs in enumerate(stage_inputs, start=1):
-        w2, proxy = _coupling_w2(denoised[i - 1], quantiles)
+    for i, (inputs, (w2, proxy)) in enumerate(zip(stage_inputs, w2s), start=1):
         rows.append(
             ResultRow(
                 schedule_label=label,
@@ -242,10 +241,10 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
     quantiles = coupling_quantiles(target, n)
     all_rows: list[ResultRow] = []
     for (label, taus), child in zip(designs, children):
-        denoised = multistep_sample(estimator, schedule, taus, n, child)
+        w2s = multistep_sample(estimator, schedule, taus, n, child,
+                               per_stage=lambda x0: _coupling_w2(x0, quantiles))
         all_rows.extend(
-            _stage_rows(label, taus, denoised, target, schedule, eps_over_delta,
-                        quantiles)
+            _stage_rows(label, taus, w2s, target, schedule, eps_over_delta)
         )
     write_rows_csv(out, all_rows)
 
@@ -348,12 +347,12 @@ def cmd_experiment(config_path: str) -> int:
         eps_over_delta = float(cfg.eps_over_delta)
     tv_info = _analytic_tv_info(cfg, eps_over_delta)
     quantiles = coupling_quantiles(cfg.target, cfg.n)
-    denoised = multistep_sample(
-        cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed, dim=cfg.target.dim
+    w2s = multistep_sample(
+        cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed, dim=cfg.target.dim,
+        per_stage=lambda x0: _coupling_w2(x0, quantiles),
     )
     rows = _stage_rows(
-        cfg.label, cfg.taus, denoised, cfg.target, cfg.schedule, eps_over_delta,
-        quantiles, tv_info,
+        cfg.label, cfg.taus, w2s, cfg.target, cfg.schedule, eps_over_delta, tv_info,
     )
     write_rows_csv(cfg.out, rows)
     print(f"{cfg.label}: taus = {list(cfg.taus.taus)}, n = {cfg.n}, seed = {cfg.seed}")

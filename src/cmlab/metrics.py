@@ -101,11 +101,11 @@ def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
         raise NumericError(
             f"{quantiles.shape} coupling quantiles for {n} samples"
         )
-    sq = np.subtract(s, quantiles)
+    split = _two_point_split(s, quantiles)
+    sq = np.subtract(s, quantiles, out=s)  # s is our own sorted copy
     sq *= sq
     w2_sq = float(np.mean(sq))
     w2 = math.sqrt(w2_sq)
-    split = _two_point_split(s, quantiles)
     if split is not None:
         p_hat, gap_sq = split
         # 1/n floor keeps the proxy nonzero when p_hat lands on 0 or 1

@@ -9,6 +9,11 @@ time schedule ``tau_1 > ... > tau_N > 0``:
         x_{tau_i+1} ~ N(alpha(tau_{i+1}) x0_i, sigma2(tau_{i+1}) I)
     output: x0_N = fhat(x_{tau_N}, tau_N)
 
+``multistep_sample`` returns every stage's ``x0_i``, or hands each one to a
+per-stage function as it is made and keeps only the one the next renoise
+needs, so a caller that reduces each stage to a few numbers (the CLI's W2)
+holds two stages' worth of samples instead of N.
+
 Three designers produce the schedules used by the experiments:
 
 * ``design_two_step_ou`` — the two-step schedule tuned for the
@@ -87,22 +92,32 @@ def multistep_sample(
     n: int,
     seed,
     dim: int = 1,
-) -> np.ndarray:
+    per_stage=None,
+):
     """Run multistep consistency sampling and return every stage's ``x0``
     as one ``(N, n, d)`` array, whose last entry is the sampler's output.
-    The noisy points are not kept; ``fhat`` sees them and may record them.
+    With ``per_stage``, each stage's ``(n, d)`` output goes to
+    ``per_stage(x0)`` as soon as ``fhat`` returns it, and the result is the
+    list of its N return values instead: only the previous stage's output
+    is kept, for the next renoise, so a caller that needs one number per
+    stage never holds all N stages.  ``per_stage`` must not modify its
+    argument.  The noisy points are not kept; ``fhat`` sees them and may
+    record them.
 
     The ``n`` rows are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
     into its slice of one ``(n, d)`` noisy slab, reused by every stage.
     The chunks are dealt into lanes, one per usable CPU, and the lanes
     draw, scale and re-centre their chunks' rows in parallel threads
-    (numpy releases the interpreter lock in all three); the previous
-    stage's ``alpha x0`` is written into this stage's own ``denoised`` slot
-    first, so no temporary is allocated.  The arithmetic is elementwise on
-    disjoint rows, so the result is bitwise the same for every lane count.
+    (numpy releases the interpreter lock in all three); re-centring adds
+    ``alpha x0`` of the previous stage through one chunk-sized temporary.
+    The arithmetic is elementwise on disjoint rows, so the result is
+    bitwise the same for every lane count, with or without ``per_stage``.
     Every stage then makes one consistency-function call on all ``n``
-    rows.  The result is deterministic for a given seed.
+    rows, whose output must have shape ``(n, d)`` (:class:`NumericError`
+    otherwise).  An output that shares memory with the noisy slab is
+    copied before the slab is redrawn.  The result is deterministic for a
+    given seed.
     """
     # Imported here: ``concurrent.futures.thread`` (with ``queue``) is the
     # one part of the package that loading the CLI does not already pull in.
@@ -119,30 +134,44 @@ def multistep_sample(
     workers = _lane_count()
     lanes = [chunks[k::workers] for k in range(workers)]
     x = np.empty((n, dim))
-    denoised = np.empty((len(ts), n, dim))
+    result = np.empty((len(ts), n, dim)) if per_stage is None else []
 
-    def renoise(lane, i, scale, alpha):
+    def renoise(lane, scale, alpha, prev):
         for rng, rows in lane:
             noisy = rng.standard_normal(out=x[rows])
             noisy *= scale
-            if i > 0:
-                shift = denoised[i, rows]
-                noisy += np.multiply(denoised[i - 1, rows], alpha, out=shift)
+            if prev is not None:
+                noisy += np.multiply(prev[rows], alpha)
 
     # The calling thread takes the first lane itself, so one usable CPU
     # starts no thread and each stage waits on one handoff fewer.
+    prev = None
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for i, t in enumerate(ts):
             scale = math.sqrt(float(schedule.sigma2(t)))
             alpha = float(schedule.alpha(t))
             futures = [
-                pool.submit(renoise, lane, i, scale, alpha) for lane in lanes[1:]
+                pool.submit(renoise, lane, scale, alpha, prev) for lane in lanes[1:]
             ]
-            renoise(lanes[0], i, scale, alpha)
+            renoise(lanes[0], scale, alpha, prev)
             for future in futures:
                 future.result()
-            denoised[i] = fhat(x, t)
-    return denoised
+            # the renoise has read the last output: drop it before fhat
+            # allocates the next one
+            out = prev = None
+            out = np.asarray(fhat(x, t), dtype=float)
+            if out.shape != (n, dim):
+                raise NumericError(
+                    f"stage {i + 1}: consistency function returned shape "
+                    f"{out.shape} for {(n, dim)} points"
+                )
+            if per_stage is None:
+                result[i] = out
+                prev = result[i]
+            else:
+                prev = out.copy() if np.shares_memory(out, x) else out
+                result.append(per_stage(prev))
+    return result
 
 
 def _lane_count() -> int:

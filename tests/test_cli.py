@@ -1,6 +1,8 @@
+import copy
 import importlib.util
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -424,12 +426,16 @@ def test_one_coupling_solve_per_run(tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["reproduce-sim", "experiment"])
 def test_stage_rows_match_public_w2(tmp_path, monkeypatch, command):
+    # The CLI takes each stage's W2 as the sampler makes it; every call is
+    # run again without the per-stage function to get the stages themselves.
     runs, rows = [], []
     sample, write = cli.multistep_sample, cli.write_rows_csv
 
-    def keep_run(*args, **kwargs):
-        runs.append(sample(*args, **kwargs))
-        return runs[-1]
+    def keep_run(fhat, schedule, taus, n, seed, per_stage, **kwargs):
+        again = copy.deepcopy(seed)  # a SeedSequence moves on as it spawns
+        result = sample(fhat, schedule, taus, n, seed, per_stage=per_stage, **kwargs)
+        runs.append(sample(fhat, schedule, taus, n, again, **kwargs))
+        return result
 
     def keep_rows(path, result_rows):
         rows.extend(result_rows)
@@ -449,3 +455,17 @@ def test_stage_rows_match_public_w2(tmp_path, monkeypatch, command):
     for stage, row in zip(stages, rows):
         assert row.w2 == w2_vs_target_1d(stage, target)
         assert row.w2_stderr_proxy == w2_stderr_proxy(stage, target)
+
+
+def test_reproduce_sim_peak_memory(tmp_path, capsys):
+    # Each schedule's stages go to W2 one at a time: besides the coupling
+    # quantiles the run holds the noisy slab, one stage and its sorted copy,
+    # about 4 arrays of n floats.  Keeping every stage took 13.
+    n = 200_000
+    tracemalloc.start()
+    try:
+        assert cli.cmd_reproduce_sim(n=n, out=str(tmp_path / "m.csv")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * n, f"{peak / (8 * n):.1f} arrays of n floats"

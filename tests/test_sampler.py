@@ -152,6 +152,8 @@ _ORACLES = {
     "affine": (lambda: exact_single_gaussian(_GAUSS, OU), OU, (4.0, 2.0, 1.0, 0.5)),
     "pf_ode": (lambda: pf_ode_consistency(_GMM3, make_ve(), step=0.05),
                make_ve(), (2.0, 0.5)),
+    # returns the sampler's own noisy slab, which the next stage redraws
+    "identity": (lambda: ConsistencyFn(lambda x, t: x), OU, (6.0, 3.0, 1.0)),
 }
 
 
@@ -159,13 +161,27 @@ _ORACLES = {
 @pytest.mark.parametrize("oracle", sorted(_ORACLES))
 def test_batched_stages_match_chunk_major_reference(oracle, n):
     # n = 5 leaves 11 of the 16 chunks empty; 4097 leaves one chunk larger.
+    # The per-stage path must give the array path's bits, stage by stage.
     make, schedule, times = _ORACLES[oracle]
     taus = SamplingTimeSchedule(times)
     f, rec_noisy = _recording(make())
     x0 = multistep_sample(f, schedule, taus, n, seed=11)
+    g, rec_noisy_streamed = _recording(make())
+    streamed = multistep_sample(g, schedule, taus, n, seed=11, per_stage=lambda x: x)
     noisy, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=11)
     np.testing.assert_array_equal(rec_noisy(), noisy)
+    np.testing.assert_array_equal(rec_noisy_streamed(), noisy)
     np.testing.assert_array_equal(x0, denoised)
+    np.testing.assert_array_equal(np.stack(streamed), denoised)
+
+
+@pytest.mark.parametrize("per_stage", [None, lambda x: x])
+def test_wrong_shaped_oracle_output_raises(per_stage):
+    # a (1, 1) output would broadcast to every row of the stage array
+    f = ConsistencyFn(lambda x, t: np.zeros((1, 1)) + t)
+    taus = SamplingTimeSchedule((2.0, 1.0))
+    with pytest.raises(NumericError, match=r"stage 1: .*\(1, 1\) for \(5, 1\)"):
+        multistep_sample(f, OU, taus, 5, seed=0, per_stage=per_stage)
 
 
 def _pretend_cpus(monkeypatch, cpus):
