@@ -1,9 +1,9 @@
 """Deterministic chunked randomness for Monte Carlo work.
 
 Every Monte Carlo operation splits its sample budget into ``N_CHUNKS`` fixed
-chunks with child seeds derived from the user seed via
-``numpy.random.SeedSequence.spawn``, so results are bit-identical for a
-given seed.
+chunks with the child seeds a fresh ``numpy.random.SeedSequence.spawn`` of
+the user seed gives, derived without spawning, so results are bit-identical
+for a given seed, a reused ``SeedSequence`` included.
 
 ``map_chunks`` runs whole per-chunk computations one after another, in
 chunk order; the Monte Carlo evaluators (``consistency_loss``,
@@ -12,7 +12,7 @@ work is many small numpy calls that hold the interpreter lock, so threads
 would only contend for it.  The multistep sampler takes the chunk
 generators from ``chunk_rngs`` and fills each stage's noise in lanes of
 chunks, one thread per usable CPU: a bulk ``standard_normal`` fill and
-elementwise arithmetic on disjoint rows, which release the lock and give
+elementwise arithmetic on disjoint slices, which release the lock and give
 the same bits for any lane count.  It then makes one batched
 consistency-function call per stage.  A stage's noise reads only the
 previous stage's output, so the draws and their bits are the same whether
@@ -36,11 +36,22 @@ def chunk_sizes(n: int) -> list[int]:
 
 
 def chunk_rngs(seed) -> list[np.random.Generator]:
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(N_CHUNKS)]
+    """The chunk generators of ``seed``: an int, a sequence of ints or a
+    ``numpy.random.SeedSequence``, whose spawn counter is not advanced."""
+    if not isinstance(seed, np.random.SeedSequence):
+        try:
+            seed = np.random.SeedSequence(seed)
+        except TypeError:
+            raise TypeError(
+                "seed must be an int, a sequence of ints or a "
+                f"numpy.random.SeedSequence, got {type(seed).__name__}"
+            ) from None
+    return [
+        np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (i,), pool_size=seed.pool_size
+        ))
+        for i in range(N_CHUNKS)
+    ]
 
 
 def map_chunks(fn, n: int, seed) -> list:

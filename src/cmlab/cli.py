@@ -313,7 +313,6 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
     if not (
         isinstance(cfg.target, GaussianMixtureTarget)
         and cfg.target.n_components == 1
-        and cfg.target.dim == 1
         and cfg.estimator_kind == "exact"
     ):
         raise NumericError(
@@ -337,6 +336,8 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
 
 def cmd_experiment(config_path: str) -> int:
     cfg = load_experiment_config(config_path)
+    # Solved first, so that a target that is not 1-D stops before any sampling.
+    quantiles = coupling_quantiles(cfg.target, cfg.n)
     if cfg.eps_over_delta == "measured":
         seed_measure = np.random.SeedSequence([int(cfg.seed), 0xE5])
         eps_over_delta = measure_eps_over_delta(
@@ -346,9 +347,8 @@ def cmd_experiment(config_path: str) -> int:
     else:
         eps_over_delta = float(cfg.eps_over_delta)
     tv_info = _analytic_tv_info(cfg, eps_over_delta)
-    quantiles = coupling_quantiles(cfg.target, cfg.n)
     w2s = multistep_sample(
-        cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed, dim=cfg.target.dim,
+        cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed,
         per_stage=lambda x0: _coupling_w2(x0, quantiles),
     )
     rows = _stage_rows(

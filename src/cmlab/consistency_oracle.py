@@ -20,8 +20,9 @@ provides:
 * Monte Carlo evaluators for the per-step self-consistency loss and the
   evaluation error against a reference oracle.
 
-All consistency functions return their input unchanged at ``t = 0``
-(bit-exactly) and clamp output norms to ``output_radius``.
+Points are scalars.  All consistency functions map each entry of an array
+on its own, return it unchanged at ``t = 0`` (bit-exactly) and clamp it to
+``[-output_radius, output_radius]``.
 """
 
 from __future__ import annotations
@@ -78,11 +79,13 @@ def _check_step(step) -> float:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ConsistencyFn:
-    """An evaluable map ``(x, t) -> x0`` with output norms clamped to
-    ``output_radius``.
+    """An evaluable map ``(x, t) -> x0`` on each entry of ``x``, with
+    outputs clamped to ``[-output_radius, output_radius]``.
 
-    ``fn`` receives an ``(n, d)`` array and a strictly positive time;
-    the identity at ``t = 0`` and the clamp (none by default) are applied
+    ``fn`` receives the ``n`` entries of ``x`` as an ``(n,)`` array and a
+    strictly positive time, and returns ``(n,)`` outputs, which take the
+    shape of ``x`` (any other output raises :class:`NumericError`).  The
+    identity at ``t = 0`` and the clamp (none by default) are applied
     here, so any ``(x, t) -> x0`` map can be wrapped directly.
 
     ``boundary`` is set for threshold-form maps (two-atom oracles and their
@@ -99,33 +102,30 @@ class ConsistencyFn:
             raise ValueError("output_radius must be nonnegative")
 
     def __call__(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = x[:, None] if squeeze else x
+        x, t = np.asarray(x, dtype=float), float(t)
         if t == 0.0:
-            out = pts.copy()
-        else:
-            out = np.asarray(self.fn(pts, float(t)), dtype=float)
-            out = _clamp_norms(out, self.output_radius)
-        return out[:, 0] if squeeze else out
+            return x.copy()
+        out = np.asarray(self.fn(x.ravel(), t), dtype=float)
+        if out.shape != (x.size,):
+            raise NumericError(
+                f"consistency function returned shape {out.shape} for {x.size} "
+                f"points at t = {t}"
+            )
+        return _clamp_norms(out, self.output_radius).reshape(x.shape)
 
 
 def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
-    """Scale the rows of ``y`` whose norm exceeds ``radius`` back onto the
-    sphere of that radius, by ``radius / norm``; ``y`` itself is returned
-    when no row is over.  In 1-D the norm is ``|y|``, which is what
-    ``sqrt(y**2)`` rounds to wherever ``y**2`` neither overflows nor
-    underflows."""
+    """Scale the entries of ``y`` whose magnitude exceeds ``radius`` back to
+    it, by ``radius / |y|``; ``y`` itself is returned when none is over."""
     if not np.isfinite(radius):
         return y
-    if y.shape[1] == 1 and y.size and y.max() <= radius and y.min() >= -radius:
-        return y  # every row within the radius; NaN fails both tests
-    norms = np.abs(y[:, 0]) if y.shape[1] == 1 else np.linalg.norm(y, axis=1)
-    over = np.flatnonzero(norms > radius)
+    if y.size and y.max() <= radius and y.min() >= -radius:
+        return y  # every entry within the radius; NaN fails both tests
+    over = np.flatnonzero(np.abs(y) > radius)
     if over.size == 0:
         return y
     y = y.copy()
-    y[over] *= (radius / norms[over])[:, None]
+    y[over] *= radius / np.abs(y[over])
     return y
 
 
@@ -183,21 +183,23 @@ def exact_single_gaussian(
 ) -> ConsistencyFn:
     """Exact affine consistency function for a one-component Gaussian target.
 
-    When the data law is ``N(m, v I)`` the time-``s`` marginal is
-    ``N(alpha_s m, V_s I)`` with ``V_s = alpha_s**2 v + sigma2_s``, the
+    When the data law is ``N(m, v)`` the time-``s`` marginal is
+    ``N(alpha_s m, V_s)`` with ``V_s = alpha_s**2 v + sigma2_s``, the
     reverse ODE is linear, and trajectories scale deviations from the mean
     by the total standard deviation:
 
         f(x, t) = m + sqrt(v / V_t) * (x - alpha_t m).
+
+    A target that is not 1-D raises when the function is called.
     """
     if not isinstance(target, GaussianMixtureTarget) or target.n_components != 1:
         raise NumericError("closed-form affine oracle requires a single Gaussian")
-    m = target.means[0]
     v = float(target.variances[0])
 
     def fn(x, t):
+        m = float(_noised_params(target, 1.0, 0.0)[0][0])
         a, slope = _gaussian_slope(v, schedule, t)
-        return m[None, :] + slope * (x - a * m[None, :])
+        return m + slope * (x - a * m)
 
     return ConsistencyFn(fn)
 
@@ -206,9 +208,9 @@ def gaussian_affine_map(
     target: GaussianMixtureTarget, schedule: NoiseSchedule, t: float
 ) -> tuple[float, float]:
     """Slope and intercept of the exact single-Gaussian oracle at time ``t``."""
-    if target.n_components != 1 or target.dim != 1:
+    if target.n_components != 1:
         raise NumericError("affine map requires a single 1-D Gaussian")
-    m = float(target.means[0, 0])
+    m = float(_noised_params(target, 1.0, 0.0)[0][0])
     a, slope = _gaussian_slope(float(target.variances[0]), schedule, t)
     return slope, m * (1.0 - a * slope)
 
@@ -224,8 +226,8 @@ def _pf_ode_field(target, lams: np.ndarray) -> Callable:
 
     where ``D`` is the posterior-mean denoiser and ``score_lam`` the score
     of the target noised to variances ``v_k + lam**2``: the VE marginal at
-    ``t = lam``.  Returns ``field(j, y)``, a fresh ``(n, d)`` array, for
-    ``(n, d)`` points ``y`` and ``lam = lams[j]``: one call of the tabulated
+    ``t = lam``.  Returns ``field(j, y)``, a fresh ``(n,)`` array, for
+    ``(n,)`` points ``y`` and ``lam = lams[j]``: one call of the tabulated
     score kernel of :func:`~cmlab.target_dist.marginal_score_path`, whose
     constants for every node are computed once, here.  The responsibilities
     are a softmax, so the field is defined at every finite point.
@@ -257,18 +259,15 @@ def pf_ode_transport(
     hit exactly, and the middle stages sit at the midpoints in ``lam`` of
     each step.  Works in either time direction.  ``lam`` is floored at
     ``1e-6`` at both ends for every target, so ``t = 0`` is reached as that
-    noise level; a point on an atom stays on it.  Returns
-    ``alpha(t_to) * y``.
+    noise level; a point on an atom stays on it.  Returns ``alpha(t_to) *
+    y``, in the shape of ``x``: every entry is a point.
     """
     step = _check_step(step)
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    pts = x[:, None] if squeeze else x
     t_from = float(t_from)
     t_to = float(t_to)
     if t_from == t_to:
-        pts = pts.copy()
-        return pts[:, 0] if squeeze else pts
+        return x.copy()
     n_steps = int(math.ceil(abs(t_to - t_from) / step))
     if n_steps > _MAX_ODE_STEPS:
         raise NumericError(
@@ -284,7 +283,7 @@ def pf_ode_transport(
     nodes[1::2] = 0.5 * (lams[:-1] + lams[1:])
     field = _pf_ode_field(target, nodes)
     a_from, a_to = np.asarray(schedule.alpha(times[[0, -1]]), dtype=float).tolist()
-    y = pts / a_from
+    y = x.ravel() / a_from
 
     # Stage points and the step combination are built in place, in the
     # operation order of ``y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)`` (IEEE
@@ -308,7 +307,7 @@ def pf_ode_transport(
         k2 *= h / 6.0
         y += k2
     y *= a_to
-    return y[:, 0] if squeeze else y
+    return y.reshape(x.shape)
 
 
 def pf_ode_consistency(
@@ -336,11 +335,10 @@ def pf_ode_consistency(
     discrete = isinstance(target, DiscreteTarget)
     radius = geometry(target).radius if discrete else math.inf
     floor2 = _LAMBDA_FLOOR * _LAMBDA_FLOOR
-    at_floor = _noised_params(target, 1.0, floor2)
 
     def fn(x, t):
         y = pf_ode_transport(target, schedule, x, t, 0.0, step)
-        return y + _mixture_score(y, at_floor, floor2)[0]
+        return y + _mixture_score(y, _noised_params(target, 1.0, floor2), floor2)[0]
 
     return ConsistencyFn(fn, radius)
 
@@ -388,7 +386,7 @@ def _mean_squared_gap(view: MarginalView, pair: Callable, n: int, seed):
         if m == 0:
             return 0.0, 0.0, 0
         a, b = pair(_sample_mixture(rng, means, variances, weights, m))
-        return chunk_moments(np.sum((a - b) ** 2, axis=1))
+        return chunk_moments((a - b) ** 2)
 
     return merge_moments(map_chunks(chunk, n, seed))
 

@@ -32,10 +32,8 @@ _PDF_FLOOR = 1e-300
 
 def _flat_1d(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and x.shape[1] == 1:
-        x = x[:, 0]
     if x.ndim != 1:
-        raise NumericError(f"{name} must be one-dimensional, got shape {x.shape}")
+        raise NumericError(f"{name} must be an (n,) array, got shape {x.shape}")
     return x
 
 
@@ -127,8 +125,7 @@ def w2_vs_target_1d(samples, target: Target) -> float:
     target quantile at level ``(k - 1/2) / n``, exact up to the O(1/n)
     quantile discretization.
     """
-    samples = _flat_1d(samples, "samples")
-    return _coupling_w2(samples, coupling_quantiles(target, samples.size))[0]
+    return _coupling_w2(samples, coupling_quantiles(target, np.size(samples)))[0]
 
 
 def w2_stderr_proxy(samples, target: Target) -> float:
@@ -141,8 +138,7 @@ def w2_stderr_proxy(samples, target: Target) -> float:
     driven by the same count.  Otherwise the squared quantile-coupling
     displacements are treated as i.i.d. terms.  A proxy, not a guarantee.
     """
-    samples = _flat_1d(samples, "samples")
-    return _coupling_w2(samples, coupling_quantiles(target, samples.size))[1]
+    return _coupling_w2(samples, coupling_quantiles(target, np.size(samples)))[1]
 
 
 @dataclass(frozen=True, slots=True)

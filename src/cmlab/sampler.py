@@ -3,16 +3,16 @@
 The sampler alternates denoising and re-noising along a strictly decreasing
 time schedule ``tau_1 > ... > tau_N > 0``:
 
-    x_{tau_1} ~ N(0, sigma2(tau_1) I)
+    x_{tau_1} ~ N(0, sigma2(tau_1))
     for i = 1 .. N-1:
         x0_i      = fhat(x_{tau_i}, tau_i)
-        x_{tau_i+1} ~ N(alpha(tau_{i+1}) x0_i, sigma2(tau_{i+1}) I)
+        x_{tau_i+1} ~ N(alpha(tau_{i+1}) x0_i, sigma2(tau_{i+1}))
     output: x0_N = fhat(x_{tau_N}, tau_N)
 
-``multistep_sample`` returns every stage's ``x0_i``, or hands each one to a
-per-stage function as it is made and keeps only the one the next renoise
-needs, so a caller that reduces each stage to a few numbers (the CLI's W2)
-holds two stages' worth of samples instead of N.
+Points are scalars.  ``multistep_sample`` returns every stage's ``x0_i``,
+or hands each one to a per-stage function as it is made and keeps only the
+one the next renoise needs, so a caller that reduces each stage to a few
+numbers (the CLI's W2) holds two stages' worth of samples instead of N.
 
 Three designers produce the schedules used by the experiments:
 
@@ -91,12 +91,11 @@ def multistep_sample(
     taus: SamplingTimeSchedule,
     n: int,
     seed,
-    dim: int = 1,
     per_stage=None,
 ):
     """Run multistep consistency sampling and return every stage's ``x0``
-    as one ``(N, n, d)`` array, whose last entry is the sampler's output.
-    With ``per_stage``, each stage's ``(n, d)`` output goes to
+    as one ``(N, n)`` array, whose last entry is the sampler's output.
+    With ``per_stage``, each stage's ``(n,)`` output goes to
     ``per_stage(x0)`` as soon as ``fhat`` returns it, and the result is the
     list of its N return values instead: only the previous stage's output
     is kept, for the next renoise, so a caller that needs one number per
@@ -104,20 +103,19 @@ def multistep_sample(
     argument.  The noisy points are not kept; ``fhat`` sees them and may
     record them.
 
-    The ``n`` rows are split into the fixed chunks of ``_rng`` and each
+    The ``n`` points are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
-    into its slice of one ``(n, d)`` noisy slab, reused by every stage.
-    The chunks are dealt into lanes, one per usable CPU, and the lanes
-    draw, scale and re-centre their chunks' rows in parallel threads
-    (numpy releases the interpreter lock in all three); re-centring adds
-    ``alpha x0`` of the previous stage through one chunk-sized temporary.
-    The arithmetic is elementwise on disjoint rows, so the result is
-    bitwise the same for every lane count, with or without ``per_stage``.
-    Every stage then makes one consistency-function call on all ``n``
-    rows, whose output must have shape ``(n, d)`` (:class:`NumericError`
-    otherwise).  An output that shares memory with the noisy slab is
-    copied before the slab is redrawn.  The result is deterministic for a
-    given seed.
+    into its slice of one ``(n,)`` noisy slab, reused by every stage.  The
+    chunks are dealt into lanes, one per usable CPU, and the lanes draw,
+    scale and re-centre their chunks' points in parallel threads (numpy
+    releases the interpreter lock in all three); re-centring adds ``alpha
+    x0`` of the previous stage through one chunk-sized temporary.  The
+    arithmetic is elementwise on disjoint slices, so the result is bitwise
+    the same for every lane count, with or without ``per_stage``.  Every
+    stage then makes one consistency-function call on all ``n`` points.  An
+    output that shares memory with the noisy slab is copied before the slab
+    is redrawn.  The result is deterministic for a given seed, a reused
+    ``SeedSequence`` included.
     """
     # Imported here: ``concurrent.futures.thread`` (with ``queue``) is the
     # one part of the package that loading the CLI does not already pull in.
@@ -133,15 +131,15 @@ def multistep_sample(
     ]
     workers = _lane_count()
     lanes = [chunks[k::workers] for k in range(workers)]
-    x = np.empty((n, dim))
-    result = np.empty((len(ts), n, dim)) if per_stage is None else []
+    x = np.empty(n)
+    result = np.empty((len(ts), n)) if per_stage is None else []
 
     def renoise(lane, scale, alpha, prev):
-        for rng, rows in lane:
-            noisy = rng.standard_normal(out=x[rows])
+        for rng, part in lane:
+            noisy = rng.standard_normal(out=x[part])
             noisy *= scale
             if prev is not None:
-                noisy += np.multiply(prev[rows], alpha)
+                noisy += np.multiply(prev[part], alpha)
 
     # The calling thread takes the first lane itself, so one usable CPU
     # starts no thread and each stage waits on one handoff fewer.
@@ -159,12 +157,7 @@ def multistep_sample(
             # the renoise has read the last output: drop it before fhat
             # allocates the next one
             out = prev = None
-            out = np.asarray(fhat(x, t), dtype=float)
-            if out.shape != (n, dim):
-                raise NumericError(
-                    f"stage {i + 1}: consistency function returned shape "
-                    f"{out.shape} for {(n, dim)} points"
-                )
+            out = fhat(x, t)
             if per_stage is None:
                 result[i] = out
                 prev = result[i]

@@ -8,9 +8,11 @@ is an exact Gaussian mixture
 
 (with ``v_k = 0`` for atoms), which gives closed-form densities, scores
 and CDFs — everything the samplers, oracles, and bound evaluators
-downstream need, with no estimation anywhere.  1-D quantiles are closed
-form for atoms at t = 0 and for one Gaussian; for mixtures they come from
-a safeguarded Newton solve inside an exact bracket, to a few ulps.
+downstream need, with no estimation anywhere.  Points are scalars: only
+:func:`geometry` reads ``(k, d)`` locations with ``d > 1``, for the bounds,
+and all else raises :class:`NumericError` on such a target.  Quantiles are
+closed form for atoms at t = 0 and for one Gaussian; for mixtures they come
+from a safeguarded Newton solve inside an exact bracket, to a few ulps.
 """
 
 from __future__ import annotations
@@ -158,10 +160,6 @@ class MarginalView:
     def __post_init__(self):
         self.schedule.check_time(self.t)
 
-    @property
-    def dim(self) -> int:
-        return self.target.dim
-
     def mixture_params(self):
         """Means ``alpha_t x_k``, variances ``alpha_t^2 v_k + sigma2_t``, weights."""
         return _noised_params(
@@ -173,11 +171,13 @@ class MarginalView:
 
 def _noised_params(target: Target, a: float, s2: float):
     """Means ``a x_k``, variances ``a^2 v_k + s2`` and weights of the
-    marginal at noise level ``alpha = a``, ``sigma2 = s2``.  Levels of
-    shape ``(nodes, 1, 1)`` give ``(nodes, k, d)`` means and ``(nodes, 1,
-    k)`` variances."""
+    marginal at ``alpha = a``, ``sigma2 = s2``: ``(nodes, k)`` means and
+    variances for ``(nodes, 1)`` levels.  The one check that a target is
+    1-D, which every kernel, sampler and quantile path passes."""
     locs, vs, ws = _component_params(target)
-    return a * locs, a * a * vs + s2, ws
+    if locs.shape[1] != 1:
+        raise NumericError(f"a 1-D target is required, got d = {locs.shape[1]}")
+    return a * locs[:, 0], a * a * vs + s2, ws
 
 
 def _require_density(variances: np.ndarray):
@@ -189,19 +189,16 @@ def _require_density(variances: np.ndarray):
 
 
 def _log_terms(pts: np.ndarray, mixture):
-    """Pulls ``m_k - x_i`` as a component-major ``(k, n, d)`` array, and the
-    ``(k, n)`` log terms ``log w_k - (d/2) log(2 pi v_k) - |m_k - x_i|^2 /
-    (2 v_k)`` of a ``(means, variances, weights)`` mixture at ``(n, d)``
-    points, built in place as ``(-0.5 (sq / v)) + c``, which is exactly
-    ``c - 0.5 (sq / v)``."""
+    """Pulls ``p = m_k - x_i`` and log terms ``log w_k - log(2 pi v_k) / 2
+    - p^2 / (2 v_k)``, both ``(k, n)``, of a ``(means, variances, weights)``
+    mixture at ``(n,)`` points; the log terms are built in place as
+    ``(-0.5 (sq / v)) + c``, which is exactly ``c - 0.5 (sq / v)``."""
     means, variances, weights = mixture
-    pull = means[:, None, :] - pts[None, :, :]
-    log_terms = np.einsum("knd,knd->kn", pull, pull)
+    pull = means[:, None] - pts
+    log_terms = np.square(pull)
     log_terms /= variances[:, None]
     log_terms *= -0.5
-    log_terms += (
-        np.log(weights) - 0.5 * means.shape[1] * np.log(2.0 * np.pi * variances)
-    )[:, None]
+    log_terms += (np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
     return pull, log_terms
 
 
@@ -241,7 +238,7 @@ def _log_total(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     """Responsibility-weighted pull ``sum_k r_k (scale / V_k) (m_k - x)`` at
-    ``(n, d)`` points of the mixture ``(means, variances, weights)`` given by
+    ``(n,)`` points of the mixture ``(means, variances, weights)`` given by
     :meth:`MarginalView.mixture_params`, where ``r_k`` are the softmax
     responsibilities of the components at ``x``.  At ``scale = 1`` this is
     the score; with the variances ``v_k + s2`` of a target noised by
@@ -261,49 +258,29 @@ def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     variances = mixture[1]
     _require_density(variances)
     pull, log_terms = _log_terms(pts, mixture)
-    # Every (k, n) and (k, n, d) step is done in place, in the operation
-    # order of ``((e / s) / (v / scale)) * pull``, ``e = exp(log_term -
-    # max)``; for an atom noised by ``s2 = scale``, ``v / scale`` is exactly
-    # 1.  A call then allocates two arrays of ``k n`` or ``k n d`` elements,
-    # not ten.
+    # Every (k, n) step is done in place, in the operation order of ``((e /
+    # s) / (v / scale)) * pull``, ``e = exp(log_term - max)``; for an atom
+    # noised by ``s2 = scale``, ``v / scale`` is exactly 1.  A call then
+    # allocates two arrays of ``k n`` elements, not ten.
     m, resp, s = _log_normalize(log_terms)
     resp /= s
     resp /= (variances / scale)[:, None]
-    pull *= resp[:, :, None]
-    # Sum the components in a fixed order with elementwise adds, so a row's
-    # result does not depend on how many rows share the call (einsum takes
-    # a differently ordered kernel when n == 1).
-    out = np.zeros(pull.shape[1:])
+    pull *= resp
+    # Sum the components in a fixed order with elementwise adds, so a
+    # point's result does not depend on how many points share the call.
+    out = np.zeros(pull.shape[1])
     for term in pull:
         out += term
     return out, m, s
 
 
-def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
-    """Coerce input to an (n, d) array; the flag marks single-point input."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if d != 1:
-            raise ValueError("scalar input for a multi-dimensional target")
-        return x.reshape(1, 1), True
-    if x.ndim == 1:
-        if d == 1:
-            return x.reshape(-1, 1), False
-        if x.shape == (d,):
-            return x.reshape(1, d), True
-        raise ValueError(f"cannot interpret shape {x.shape} as points in R^{d}")
-    if x.ndim == 2 and x.shape[1] == d:
-        return x, False
-    raise ValueError(f"cannot interpret shape {x.shape} as points in R^{d}")
-
-
 def marginal_logpdf(view: MarginalView, x):
+    """Log density of the time-``t`` marginal at each entry of ``x``."""
     mixture = view.mixture_params()
     _require_density(mixture[1])
-    pts, scalar = _as_points(x, view.dim)
-    m, _, s = _log_normalize(_log_terms(pts, mixture)[1])
-    logs = _log_total(m, s)
-    return float(logs[0]) if scalar else logs
+    x = np.asarray(x, dtype=float)
+    m, _, s = _log_normalize(_log_terms(x.ravel(), mixture)[1])
+    return _log_total(m, s).reshape(x.shape)
 
 
 def marginal_pdf(view: MarginalView, x):
@@ -312,15 +289,15 @@ def marginal_pdf(view: MarginalView, x):
 
 
 def score(view: MarginalView, x):
-    """Gradient of the log marginal density at ``x``.
+    """Derivative of the log marginal density at each entry of ``x``.
 
     Evaluated by the component-major mixture kernel (:func:`_mixture_score`).
     Raises :class:`NumericError` if the density underflows (below 1e-300);
     callers should clamp ``x`` or raise ``t`` instead of trusting a score
     computed from a vanishing density.
     """
-    pts, scalar = _as_points(x, view.dim)
-    out, m, s = _mixture_score(pts, view.mixture_params())
+    x = np.asarray(x, dtype=float)
+    out, m, s = _mixture_score(x.ravel(), view.mixture_params())
     # ``s >= 1`` (its largest term is exp(0)), so the total is at least
     # ``m`` and only columns with ``m`` under the floor can fall below it.
     low = np.flatnonzero(m < _LOG_PDF_FLOOR)
@@ -329,7 +306,7 @@ def score(view: MarginalView, x):
             "marginal density underflow while evaluating the score; "
             "clamp x or increase t"
         )
-    return out[0] if scalar else out
+    return out.reshape(x.shape)
 
 
 def marginal_score_path(
@@ -338,21 +315,21 @@ def marginal_score_path(
     """The marginal scores at a fixed grid of times, for repeated use.
 
     Returns ``score_at(j, x)``, the score of the time-``times[j]`` marginal
-    at ``(n, d)`` points ``x``, as a fresh ``(n, d)`` array.  Unlike
-    :func:`score` it is defined at every finite point, however small the
-    density there: the responsibilities are a softmax, so far out the score
-    is that of the component that dominates there.
+    at ``(n,)`` points ``x`` (:class:`NumericError` for any other shape), as
+    a fresh ``(n,)`` array.  Unlike :func:`score` it is defined at every
+    finite point, however small the density there: the responsibilities are
+    a softmax, so far out the score is that of the component that dominates.
 
     The time domain is checked once, and every constant of a node ``j`` and
     a component ``k`` is tabulated here: with ``V = alpha_j^2 v_k +
     sigma2_j``, the scale ``s = 1 / sqrt(2 V)``, the scaled mean
-    ``alpha_j m_k s``, the log constant ``c = log w_k - (d/2) log(2 pi V)``
+    ``alpha_j m_k s``, the log constant ``c = log w_k - (1/2) log(2 pi V)``
     and the gain ``g = -sqrt(2 / V)``.  A call forms ``Q = x s - alpha_j
-    m_k s``, so that ``|Q|^2 = |x - alpha_j m_k|^2 / (2 V)``, the log terms
-    ``c - |Q|^2``, their shifted exponentials ``e_k``, and the score
-    ``sum_k e_k g Q / sum_k e_k``: multiplies and adds, and one division
-    per point coordinate, none per component.  Each row's result does not
-    depend on the other rows.
+    m_k s``, so that ``Q^2 = (x - alpha_j m_k)^2 / (2 V)``, the log terms
+    ``c - Q^2``, their shifted exponentials ``e_k``, and the score ``sum_k
+    e_k g Q / sum_k e_k``: multiplies and adds, and one division per point,
+    none per component.  Each point's result does not depend on the other
+    points.
 
     This rounds differently from the exact pull ``m_k - x`` of
     :func:`_mixture_score`, which :func:`score` and the PF-ODE's posterior
@@ -362,39 +339,37 @@ def marginal_score_path(
     :class:`NumericError`.
     """
     times = schedule.check_time(times)
-    a = np.asarray(schedule.alpha(times), dtype=float).reshape(-1, 1, 1)
-    s2 = np.asarray(schedule.sigma2(times), dtype=float).reshape(-1, 1, 1)
+    a = np.asarray(schedule.alpha(times), dtype=float)[:, None]
+    s2 = np.asarray(schedule.sigma2(times), dtype=float)[:, None]
     means, var, ws = _noised_params(target, a, s2)
-    nodes, k, d = means.shape
-    # (nodes, k, 1) tables; a zero variance gives infinite constants, which
-    # are only reached by a call that raises first.
-    var = var.reshape(nodes, k, 1)
+    # (nodes, k, 1) tables, to broadcast against (n,) points; a zero
+    # variance gives infinite constants, which are only reached by a call
+    # that raises first.
+    means, var = means[..., None], var[..., None]
     no_density = np.any(var <= 0, axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = 1.0 / np.sqrt(2.0 * var)
-        shift = means * scale  # (nodes, k, d)
-        const = np.log(ws)[:, None] - 0.5 * d * np.log(2.0 * np.pi * var)
+        shift = means * scale
+        const = np.log(ws)[:, None] - 0.5 * np.log(2.0 * np.pi * var)
         gain = -np.sqrt(2.0 / var)
-    scale = scale[..., None]  # (nodes, k, 1, 1) and (nodes, k, d, 1), to
-    shift = shift[..., None]  # broadcast against (d, n) points
 
     def score_at(j: int, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 1:
+            raise NumericError(f"score path points must be (n,), got shape {x.shape}")
         if no_density[j]:
             _require_density(var[j])
-        # Component-major (k, d, n) offsets and (k, n) log terms, each
-        # updated in place after it is made.
-        q = np.multiply(x.T, scale[j])
+        # Component-major (k, n) offsets and log terms, each updated in
+        # place after it is made.
+        q = np.multiply(x, scale[j])
         q -= shift[j]
-        logc = np.square(q[:, 0])
-        for i in range(1, d):
-            logc += np.square(q[:, i])
+        logc = np.square(q)
         np.subtract(const[j], logc, out=logc)
         _, e, total = _log_normalize(logc)
         e *= gain[j]
-        q *= e[:, None, :]
+        q *= e
         out = _sum_leading(q)
         out /= total
-        return out.T
+        return out
 
     return score_at
 
@@ -413,7 +388,7 @@ def _mixture_cdf_1d(x, means, sds, weights):
 
     The components are summed in a fixed order with elementwise adds, so a
     point's CDF does not depend on how many points share the call (numpy's
-    matrix product rounds a one-row call differently).
+    matrix product rounds a one-point call differently).
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
@@ -510,18 +485,9 @@ def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _mixture_1d(mixture):
-    """A ``(means, variances, weights)`` mixture with ``(k,)`` means, from
-    one whose means are ``(k, 1)``."""
-    means, variances, weights = mixture
-    if means.shape[1] != 1:
-        raise NumericError("mixture CDFs and quantiles require a 1-D target")
-    return means[:, 0], variances, weights
-
-
 def marginal_cdf_1d(view: MarginalView, x):
     """CDF of a one-dimensional marginal (weighted sum of Gaussian CDFs)."""
-    means, variances, weights = _mixture_1d(view.mixture_params())
+    means, variances, weights = view.mixture_params()
     return _mixture_cdf_1d(x, means, np.sqrt(variances), weights)
 
 
@@ -529,18 +495,17 @@ def marginal_quantile_1d(view: MarginalView, u: float) -> float:
     """Quantile at level ``u`` of a 1-D marginal, by the mixture quantile
     solver :func:`_mixture_quantiles_1d` (the step quantile at t = 0 for
     atoms)."""
-    return float(_mixture_quantiles_1d(*_mixture_1d(view.mixture_params()), u))
+    return float(_mixture_quantiles_1d(*view.mixture_params(), u))
 
 
 def _sample_mixture(rng, means, variances, weights, m: int) -> np.ndarray:
-    k, d = means.shape
-    idx = rng.choice(k, size=m, p=weights)
-    noise = rng.standard_normal((m, d))
-    return means[idx] + np.sqrt(variances[idx])[:, None] * noise
+    """``m`` draws of the 1-D mixture ``sum_k w_k N(m_k, v_k)``."""
+    idx = rng.choice(means.size, size=m, p=weights)
+    return means[idx] + np.sqrt(variances[idx]) * rng.standard_normal(m)
 
 
 def sample_marginal(view: MarginalView, n: int, seed) -> np.ndarray:
-    """Draw ``n`` exact samples from the time-``t`` marginal.
+    """Draw ``n`` exact samples from the time-``t`` marginal, an ``(n,)`` array.
 
     Deterministic for a given seed: the budget is split into fixed chunks
     with derived sub-seeds, drawn in chunk order.
@@ -552,7 +517,7 @@ def sample_marginal(view: MarginalView, n: int, seed) -> np.ndarray:
     def chunk(rng, m, _i):
         return _sample_mixture(rng, means, variances, weights, m)
 
-    return np.concatenate(map_chunks(chunk, n, seed), axis=0)
+    return np.concatenate(map_chunks(chunk, n, seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -599,4 +564,4 @@ def geometry(target: Target) -> TargetGeometry:
 def target_quantiles_1d(target: Target, u) -> np.ndarray:
     """Quantiles of the raw (t = 0) target at levels ``u`` — vectorized, by
     the same mixture quantile solver as :func:`marginal_quantile_1d`."""
-    return _mixture_quantiles_1d(*_mixture_1d(_component_params(target)), u)
+    return _mixture_quantiles_1d(*_noised_params(target, 1.0, 0.0), u)

@@ -96,7 +96,7 @@ def test_c2_exact_oracle_sampler_recovers_target():
     taus = design_two_step_ou(100.0, 1.0, 1.0)
     n = 100_000
     x0 = multistep_sample(f, OU, taus, n, seed=14)
-    out = x0[-1][:, 0]
+    out = x0[-1]
     p = float((out == 0.0).mean())
     se = math.sqrt(0.25 / n)
     w2 = w2_vs_target_1d(out, TWO_ATOM)
@@ -129,7 +129,7 @@ def test_c3_pf_ode_agrees_with_threshold_oracle():
         if not np.all(same):
             band_lo = marginal_quantile_1d(view, 0.5 - 1e-3)
             band_hi = marginal_quantile_1d(view, 0.5 + 1e-3)
-            bad = x[~same[:, 0], 0]
+            bad = x[~same]
             all_in_band &= bool(np.all((bad >= band_lo) & (bad <= band_hi)))
     ok = worst_agree >= 0.999 and all_in_band
     elapsed = report(

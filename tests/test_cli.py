@@ -1,4 +1,4 @@
-import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -432,9 +432,8 @@ def test_stage_rows_match_public_w2(tmp_path, monkeypatch, command):
     sample, write = cli.multistep_sample, cli.write_rows_csv
 
     def keep_run(fhat, schedule, taus, n, seed, per_stage, **kwargs):
-        again = copy.deepcopy(seed)  # a SeedSequence moves on as it spawns
         result = sample(fhat, schedule, taus, n, seed, per_stage=per_stage, **kwargs)
-        runs.append(sample(fhat, schedule, taus, n, again, **kwargs))
+        runs.append(sample(fhat, schedule, taus, n, seed, **kwargs))
         return result
 
     def keep_rows(path, result_rows):
@@ -469,3 +468,112 @@ def test_reproduce_sim_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 7 * 8 * n, f"{peak / (8 * n):.1f} arrays of n floats"
+
+
+# One config of each 2-D kind that `bounds` accepts, and its table as
+# printed before points became scalars: the bounds read d, nothing else does.
+_CONFIGS_2D = {
+    "gauss2d": (
+        {"target": {"type": "gmm", "components": [[[1.0, -0.5], 0.5, 1.0]]},
+         "schedule": "ou", "eps_over_delta": 0.01,
+         "sampling": {"schedule_design": "explicit", "taus": [2.0, 1.0], "n": 1000,
+                      "seed": 1, "smoothing_sigma": "optimal"},
+         "metrics": {"tv": True},
+         "bounds": {"tail_c": 2.0, "tail_C": 1.0, "tail_coeff": 1.0}},
+        "gauss2d: taus = [2.0, 1.0], eps/delta = 0.01, R = 3.23935, diameter = 4.24264, "
+        "E|x|^2 = 2.25 (effective support)\n"
+        "stage        tau   w2_general  w2_modified    kl_bound    tv_bound   tail_term     w2_tail\n"
+        "    1          2       3.0673      1.63487   0.0209895    0.702444    0.641271     3.70857\n"
+        "    2          1      3.05754      1.62517   0.0210208     0.50252    0.641271     3.69881\n"
+        "sigma_eps = 0.025\n",
+    ),
+    "gmm2d": (
+        {"target": {"type": "gmm",
+                    "components": [[[-2.0, 0.0], 0.5, 0.4], [[1.0, 1.0], 1.0, 0.6]]},
+         "schedule": "ve", "estimator": {"estimator": "pfode", "ode_step": 0.01},
+         "eps_over_delta": 0.05,
+         "sampling": {"schedule_design": "explicit", "taus": [4.0, 1.0], "n": 1000,
+                      "seed": 2}},
+        "gmm2d: taus = [4.0, 1.0], eps/delta = 0.05, R = 4.41421, diameter = 8.2836, "
+        "E|x|^2 = 4.4 (effective support)\n"
+        "stage        tau   w2_general  w2_modified    kl_bound\n"
+        "    1          4       6.7579      5.24423      0.1375\n"
+        "    2          1       6.6611      5.18354      0.1575\n",
+    ),
+    "atoms2d": (
+        {"target": {"type": "discrete", "atoms": [[[0.0, 0.0], 0.5], [[3.0, 4.0], 0.5]]},
+         "schedule": "ou", "estimator": {"estimator": "pfode"}, "eps_over_delta": 1.0,
+         "sampling": {"schedule_design": "explicit", "taus": [3.0, 1.0], "n": 1000,
+                      "seed": 3}},
+        "atoms2d: taus = [3.0, 1.0], eps/delta = 1.0, R = 5, diameter = 5, E|x|^2 = 12.5\n"
+        "stage        tau   w2_general  w2_modified    kl_bound\n"
+        "    1          3      6.53019      4.76509   0.0155307\n"
+        "    2          1      8.78703      4.89352     0.71986\n",
+    ),
+}
+
+
+def _write_2d_config(tmp_path, name, **changes):
+    config = dict(_CONFIGS_2D[name][0], label=name, out=str(tmp_path / f"{name}.csv"))
+    config.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS_2D))
+def test_bounds_table_of_2d_target(tmp_path, capsys, name):
+    assert main(["bounds", "--config", str(_write_2d_config(tmp_path, name))]) == 0
+    assert capsys.readouterr().out == _CONFIGS_2D[name][1]
+
+
+@pytest.mark.parametrize("eps_over_delta", [None, "measured"], ids=["numeric", "measured"])
+@pytest.mark.parametrize("name", sorted(_CONFIGS_2D))
+def test_experiment_on_2d_target_exits_3_before_sampling(
+        tmp_path, capsys, monkeypatch, name, eps_over_delta):
+    def no_sampling(*_args, **_kwargs):
+        raise AssertionError("sampled a 2-D target")
+
+    monkeypatch.setattr(cli, "multistep_sample", no_sampling)
+    monkeypatch.setattr(cli, "evaluation_error", no_sampling)
+    changes = {"eps_over_delta": eps_over_delta} if eps_over_delta else {}
+    path = _write_2d_config(tmp_path, name, **changes)
+    assert main(["experiment", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: a 1-D target is required, got d = 2\n"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+# SHA-256 of the CSVs of fixed runs: reproduce-sim at n = 20000, `experiment`
+# on every shipped config, and a PF-ODE run on the benchmark's GMM under VE.
+# A change that moves an output byte updates these and says why.
+_CSV_DIGESTS = {
+    "bernoulli_ve_halving.csv": "0daed1a06e34be998f36d77d9282ca00d58bb3309c8bdeff02fff5003779777d",
+    "gaussian_tv.csv": "b5805aba071e74c6ceeeda73e9ec6455c38c5f39b31ff465ba8c81ec80884169",
+    "pfode_gmm.csv": "26b03a5ab7cafd736d302d4b22d505abd4c6b703b94bf84d67ff928b1adee1a7",
+    "reproduce_sim.csv": "85035550a6b72bf4476eb61173369b81ba15095703de3949d40acc1ccb7c4943",
+    "unused.csv": "11de20e5394f51cf4d74ab6e8b6a37150efdb4303ad2bdcc25ef0972806b05bb",
+}
+_PFODE_GMM = {
+    "label": "pfode_gmm",
+    "target": {"type": "gmm",
+               "components": [[-4.0, 0.5, 0.3], [0.0, 1.0, 0.5], [3.0, 0.25, 0.2]]},
+    "schedule": "ve",
+    "estimator": {"estimator": "pfode", "ode_step": 0.01},
+    "eps_over_delta": 0.05,
+    "sampling": {"schedule_design": "explicit", "taus": [4.0, 1.0], "n": 4096, "seed": 5},
+    "out": "pfode_gmm.csv",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # every relative "out" lands here
+    assert main(["reproduce-sim", "--n", "20000", "--out", "reproduce_sim.csv"]) == 0
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        assert main(["experiment", "--config", str(path)]) == 0
+    (tmp_path / "pfode_gmm.json").write_text(json.dumps(_PFODE_GMM))
+    assert main(["experiment", "--config", "pfode_gmm.json"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.glob("*.csv"))}
+    assert got == _CSV_DIGESTS

@@ -69,7 +69,7 @@ def test_threshold_gather_matches_where(make, t):
     x = np.array(
         [-math.inf, math.inf, math.nan, a, np.nextafter(a, -math.inf),
          np.nextafter(a, math.inf), -a, 0.0, -0.0, 100.0]
-    )[:, None]
+    )
     want = np.where(x < a, 0.0, 100.0)
     for got in (f.fn(x, t), f(x, t)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -109,10 +109,10 @@ def test_output_stays_in_support_radius(x, t):
 
 def test_consistency_fn_clamps_output_norm():
     f = ConsistencyFn(lambda pts, t: pts * 100.0, output_radius=5.0)
-    out = f(np.array([[3.0, 4.0]]), 1.0)
-    assert np.linalg.norm(out[0]) == pytest.approx(5.0, rel=1e-12)
+    out = f(np.array([0.03, -4.0, 0.01]), 1.0)
+    np.testing.assert_allclose(out, [3.0, -5.0, 1.0], rtol=1e-12)
     # identity at t = 0 is applied before the wrapped map and is not clamped
-    np.testing.assert_array_equal(f(np.array([[30.0, 40.0]]), 0.0), [[30.0, 40.0]])
+    np.testing.assert_array_equal(f(np.array([30.0, -40.0]), 0.0), [30.0, -40.0])
 
 
 def test_one_dim_input_squeezes():
@@ -120,6 +120,22 @@ def test_one_dim_input_squeezes():
     out = f(np.array([10.0, 30.0]), 1.0)
     assert out.shape == (2,)
     np.testing.assert_array_equal(out, [0.0, 100.0])
+    # Every entry is a point: a column, such as the benchmark's
+    # ``oracle(x[:, None], t)``, and a scalar come back in their own shape,
+    # for every oracle and at t = 0.
+    gauss = GaussianMixtureTarget([[0.5]], [0.25], [1.0])
+    x = np.array([-1.3, 0.2, 40.0])
+    for g in (f, quantile_perturbed(TWO_ATOM, OU), exact_single_gaussian(gauss, OU),
+              pf_ode_consistency(gauss, OU, step=0.05)):
+        for t in (0.0, 1.0):
+            flat = g(x, t)
+            assert flat.shape == (3,)
+            column = g(x[:, None], t)
+            assert column.shape == (3, 1)
+            np.testing.assert_array_equal(column[:, 0], flat)
+            scalar = g(x[1], t)
+            assert scalar.shape == ()
+            assert scalar == flat[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +247,24 @@ def _lambdas(schedule, times):
 
 def _components(target):
     if isinstance(target, DiscreteTarget):
-        return target.locations, np.zeros(target.n_components), target.weights
-    return target.means, target.variances, target.weights
+        return target.locations[:, 0], np.zeros(target.n_components), target.weights
+    return target.means[:, 0], target.variances, target.weights
 
 
 def _reference_field(target, lam, y):
     """``-lam * score`` of the target noised to variances ``v_k + lam**2``,
     that is ``(y - D(y, lam)) / lam``, written out in point-major
-    ``(n, k, d)`` layout with scipy's softmax for the responsibilities."""
+    ``(n, k)`` layout with scipy's softmax for the responsibilities."""
     locs, vs, weights = _components(target)
     variances = vs + lam * lam
-    d = locs.shape[1]
-    pull = locs[None, :, :] - y[:, None, :]
+    pull = locs[None, :] - y[:, None]
     logc = (
         np.log(weights)
-        - 0.5 * d * np.log(2.0 * np.pi * variances)
-        - 0.5 * np.sum(pull * pull, axis=2) / variances
+        - 0.5 * np.log(2.0 * np.pi * variances)
+        - 0.5 * (pull * pull) / variances
     )
     resp = scipy.special.softmax(logc, axis=1)
-    return -lam * np.sum((resp / variances)[:, :, None] * pull, axis=1)
+    return -lam * np.sum((resp / variances) * pull, axis=1)
 
 
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
@@ -269,43 +284,40 @@ def _reference_field(target, lam, y):
 def test_pf_ode_field_matches_reference_formula(target, pts, schedule):
     lams = _lambdas(schedule, [1e-3, 0.05, 0.4, 1.0, 2.5])
     field = _pf_ode_field(target, lams)
-    y = np.array(pts)[:, None]
+    y = np.array(pts)
     locs, vs, _ = _components(target)
     far = np.zeros(len(y), dtype=bool)
     for j, lam in enumerate(lams):
         got = field(j, y)
         np.testing.assert_allclose(got, _reference_field(target, lam, y), rtol=1e-12, atol=0)
-        z2 = (y - locs[:, 0]) ** 2 / (vs + lam * lam)
+        z2 = (y[:, None] - locs) ** 2 / (vs + lam * lam)
         far |= z2.min(axis=1) > 30.0**2
     assert far.any()  # some queries lie beyond 30 sd of every component
 
 
 def _allocating_field(target, lams):
     """The PF-ODE field by the tabulated kernel's formula, with a fresh
-    array for every operation and point-major ``(k, n, d)`` pulls: the
+    array for every operation and component-major ``(k, n)`` offsets: the
     scaled offsets ``q = y s - m s``, ``s = 1 / sqrt(2 V)``, the log terms
-    ``c - |q|^2``, and ``sum_k e_k g q / sum_k e_k`` with ``g = -sqrt(2 /
-    V)``, each sum over ``k`` or ``d`` in index order.  The in-place kernel
-    must reproduce it bit for bit."""
+    ``c - q^2``, and ``sum_k e_k g q / sum_k e_k`` with ``g = -sqrt(2 /
+    V)``, each sum over ``k`` in index order.  The in-place kernel must
+    reproduce it bit for bit."""
     locs, vs, weights = _components(target)
-    d = locs.shape[1]
 
     def field(j, y):
         lam = lams[j]
         variances = vs + lam * lam
         scale = 1.0 / np.sqrt(2.0 * variances)
-        q = y[None, :, :] * scale[:, None, None] - (locs * scale[:, None])[:, None, :]
-        sq = q[:, :, 0] ** 2
-        for i in range(1, d):
-            sq = sq + q[:, :, i] ** 2
-        log_coef = np.log(weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
+        q = y[None, :] * scale[:, None] - (locs * scale)[:, None]
+        sq = q**2
+        log_coef = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
         logc = log_coef[:, None] - sq
         e = np.exp(logc - logc.max(axis=0))
-        terms = q * (e * -np.sqrt(2.0 / variances)[:, None])[:, :, None]
+        terms = q * (e * -np.sqrt(2.0 / variances)[:, None])
         total, sc = e[0], terms[0]
         for i in range(1, len(e)):
             total, sc = total + e[i], sc + terms[i]
-        return -lam * (sc / total[:, None])
+        return -lam * (sc / total)
 
     return field
 
@@ -330,18 +342,16 @@ def _allocating_transport(target, schedule, x, t_from, t_to, step):
 
 
 _GMM3 = GaussianMixtureTarget([[-3.0], [0.5], [4.0]], [0.3, 1.0, 0.5], [0.2, 0.5, 0.3])
-_GMM_2D = GaussianMixtureTarget([[-3.0, 1.0], [2.0, 0.5]], [0.4, 1.5], [0.35, 0.65])
 
 
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
 @pytest.mark.parametrize(
     "target, pts",
     [
-        (TWO_ATOM, [[-3.0], [0.01], [2.0], [18.0], [40.0], [60.0], [99.9], [150.0]]),
-        (_GMM3, [[-300.0], [-40.0], [-2.5], [0.0], [1.7], [3.9], [55.0], [300.0]]),
-        (_GMM_2D, [[-300.0, 2.0], [-3.0, 1.0], [0.0, 0.0], [1.0, -2.0], [80.0, 90.0]]),
+        (TWO_ATOM, [-3.0, 0.01, 2.0, 18.0, 40.0, 60.0, 99.9, 150.0]),
+        (_GMM3, [-300.0, -40.0, -2.5, 0.0, 1.7, 3.9, 55.0, 300.0]),
     ],
-    ids=["atoms", "gmm", "gmm2d"],
+    ids=["atoms", "gmm"],
 )
 def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
     # Bit for bit, at points inside and beyond 30 component sd, on the field
@@ -359,13 +369,13 @@ def test_pf_ode_field_and_rk4_match_allocating_kernel(target, pts, schedule):
 
 
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
-@pytest.mark.parametrize("target", [TWO_ATOM, _GMM3, _GMM_2D], ids=["atoms", "gmm", "gmm2d"])
+@pytest.mark.parametrize("target", [TWO_ATOM, _GMM3], ids=["atoms", "gmm"])
 def test_pf_ode_field_rows_do_not_depend_on_the_batch(target, schedule):
-    # A row's field value is the same bits whether it is evaluated with all
-    # rows or in slices of 1, 2, 5 and n - 8 rows.
+    # A point's field value is the same bits whether it is evaluated with
+    # all points or in slices of 1, 2, 5 and n - 8 points.
     rng = np.random.default_rng(3)
-    y = rng.normal(0.0, 1.0, (40, target.dim)) * rng.choice([0.5, 5.0, 200.0], (40, 1))
-    y[0] = target.locations[0] if isinstance(target, DiscreteTarget) else target.means[0]
+    y = rng.normal(0.0, 1.0, 40) * rng.choice([0.5, 5.0, 200.0], 40)
+    y[0] = _components(target)[0][0]
     field = _pf_ode_field(target, _lambdas(schedule, [1e-3, 0.05, 0.4, 1.0, 2.5]))
     for j in range(5):
         whole = field(j, y)
@@ -379,7 +389,7 @@ def test_score_path_at_zero_variance_raises_only_when_called():
     # Atoms at t = 0 have no density: the path still builds, every other
     # node evaluates, and the t = 0 node raises when it is called.
     score_at = marginal_score_path(TWO_ATOM, OU, [0.5, 0.0, 1.0])
-    y = np.array([[-3.0], [20.0], [90.0]])
+    y = np.array([-3.0, 20.0, 90.0])
     with pytest.raises(NumericError):
         score_at(1, y)
     for j in (0, 2):
@@ -390,6 +400,21 @@ def test_score_path_at_zero_variance_raises_only_when_called():
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, y)
         assert np.all(np.isfinite(first))
+
+
+def test_transport_and_score_path_take_no_columns_as_components():
+    # With one component, a column of points would broadcast against the
+    # component axis of the (k, n) kernels and mix the points together.
+    # The transport treats every entry as a point; the score path refuses.
+    gauss = GaussianMixtureTarget([[0.5]], [0.25], [1.0])
+    x = np.array([-1.0, 0.4, 1.5])
+    flat = pf_ode_transport(gauss, OU, x, 1.0, 0.2, step=0.05)
+    column = pf_ode_transport(gauss, OU, x[:, None], 1.0, 0.2, step=0.05)
+    np.testing.assert_array_equal(column, flat[:, None])
+    score_at = marginal_score_path(gauss, OU, [1.0])
+    assert score_at(0, x).shape == (3,)
+    with pytest.raises(NumericError, match=r"\(3, 1\)"):
+        score_at(0, x[:, None])
 
 
 # The GMM of the PF-ODE benchmark workload: three separated components of
@@ -412,44 +437,44 @@ def test_pf_ode_matches_monotone_rearrangement(schedule, t):
 
 
 def _scaled_rows(y, radius):
-    """The output clamp as one ``radius / norm`` scale for every row."""
+    """The output clamp as one ``radius / |y|`` scale for every point."""
     if not np.isfinite(radius):
         return y
-    norms = np.linalg.norm(y, axis=1)
+    norms = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > radius, radius / norms, 1.0)
-    return y * scale[:, None]
+    return y * scale
 
 
 @pytest.mark.parametrize("radius", [2.5, math.inf])
-@pytest.mark.parametrize("d", [1, 3])
-def test_clamp_norms_matches_row_scaling(d, radius):
-    rng = np.random.default_rng(d)
-    y = rng.normal(scale=2.0, size=(400, d))
+@pytest.mark.parametrize("seed", [1, 3])
+def test_clamp_norms_matches_row_scaling(seed, radius):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(scale=2.0, size=400)
     y[:6] = 0.0
     y[1] = -0.0
-    y[2, 0], y[3, -1] = 2.5, -2.5  # exactly at the radius
+    y[2], y[3] = 2.5, -2.5  # exactly at the radius
     y[4] = 1e6  # far over
-    y[5, 0] = -2.5000000000000004  # one ulp over
+    y[5] = -2.5000000000000004  # one ulp over
     before = y.copy()
     got = _clamp_norms(y, radius)
     want = _scaled_rows(before, radius)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(y, before)  # the input is left alone
-    inside = y[np.linalg.norm(y, axis=1) <= 2.5]
+    inside = y[np.abs(y) <= 2.5]
     assert _clamp_norms(inside, radius) is inside
 
 
 def _clamp_without_precheck(y, radius):
-    """The output clamp without its 1-D range pre-check."""
+    """The output clamp without its range pre-check."""
     if not np.isfinite(radius):
         return y
-    norms = np.abs(y[:, 0]) if y.shape[1] == 1 else np.linalg.norm(y, axis=1)
+    norms = np.abs(y)
     over = np.flatnonzero(norms > radius)
     if over.size == 0:
         return y
     y = y.copy()
-    y[over] *= (radius / norms[over])[:, None]
+    y[over] *= radius / norms[over]
     return y
 
 
@@ -468,7 +493,7 @@ _ULP_OVER = np.nextafter(_R, math.inf)
     ids=lambda rows: repr(rows),
 )
 def test_clamp_precheck_matches_full_path(rows):
-    y = np.array(rows, dtype=float).reshape(-1, 1)
+    y = np.array(rows, dtype=float)
     before = y.copy()
     with np.errstate(invalid="ignore"):  # an infinite row scales to NaN
         got = _clamp_norms(y, _R)
@@ -585,7 +610,7 @@ def _chunked_mse(view, fa, fb, n, seed):
         if m == 0:
             return 0.0, 0.0, 0
         x = _sample_mixture(rng, means, variances, weights, m)
-        return chunk_moments(np.sum((fa(x) - fb(x)) ** 2, axis=1))
+        return chunk_moments((fa(x) - fb(x)) ** 2)
 
     return merge_moments(map_chunks(chunk, n, seed))
 

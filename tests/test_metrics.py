@@ -36,8 +36,7 @@ def test_w2_empirical_examples():
     assert w2_empirical_1d([1.0, 0.0], [0.0, 1.0]) == 0.0  # order irrelevant
     assert w2_empirical_1d([0.0], [3.0]) == 3.0
     assert w2_empirical_1d([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0
-    # column vectors are accepted
-    assert w2_empirical_1d(np.zeros((3, 1)), np.ones((3, 1))) == 1.0
+    assert w2_empirical_1d(np.zeros(3), np.ones(3)) == 1.0
 
 
 def test_w2_empirical_errors():
@@ -47,6 +46,12 @@ def test_w2_empirical_errors():
         w2_empirical_1d([], [])
     with pytest.raises(NumericError):
         w2_empirical_1d(np.zeros((2, 2)), np.zeros((2, 2)))
+    # points are the entries of an (n,) array: a column is refused
+    with pytest.raises(NumericError):
+        w2_empirical_1d(np.zeros((3, 1)), np.ones((3, 1)))
+    for w2 in (w2_vs_target_1d, w2_stderr_proxy):
+        with pytest.raises(NumericError):
+            w2(np.zeros((3, 1)), TWO_ATOM)
 
 
 def _w2_bruteforce(a, b):
@@ -153,7 +158,7 @@ _COUPLING_CASES = {
     "one_valued_gmm": (np.full(1001, 0.25), _GMM3),
     "many_valued_atom": (_draw.normal(50.0, 30.0, size=2048), TWO_ATOM),
     "gauss": (_draw.normal(2.1, 0.7, size=3000), _GAUSS),
-    "gmm": (_draw.normal(0.0, 3.0, size=(4097, 1)), _GMM3),
+    "gmm": (_draw.normal(0.0, 3.0, size=4097), _GMM3),
     "single": (np.array([1.5]), _GMM3),
 }
 

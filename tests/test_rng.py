@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from cmlab._rng import chunk_moments, chunk_sizes, merge_moments
+from cmlab import (
+    DiscreteTarget,
+    MarginalView,
+    SamplingTimeSchedule,
+    TrainingPartition,
+    consistency_loss,
+    evaluation_error,
+    exact_two_point,
+    make_ou,
+    multistep_sample,
+    quantile_perturbed,
+    sample_marginal,
+)
+from cmlab._rng import N_CHUNKS, chunk_moments, chunk_rngs, chunk_sizes, merge_moments
 
 
 def _merged(x):
@@ -38,3 +51,51 @@ def test_merge_moments_skips_empty_chunks():
     assert est.stderr == pytest.approx(float(x.std() / np.sqrt(5)), rel=1e-12)
     with pytest.raises(ValueError):
         merge_moments([chunk_moments([])])
+
+
+def _first_draws(rngs):
+    return [rng.random() for rng in rngs]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.SeedSequence(3),
+    lambda: np.random.SeedSequence([7, 0xE5]),
+    lambda: np.random.SeedSequence(20).spawn(3)[1],  # a CLI schedule's child
+], ids=["int", "list", "child"])
+def test_chunk_rngs_are_the_fresh_spawn_children(make):
+    seq = make()
+    spawned = _first_draws(np.random.default_rng(c) for c in make().spawn(N_CHUNKS))
+    assert _first_draws(chunk_rngs(seq)) == spawned
+    assert _first_draws(chunk_rngs(seq)) == spawned  # the sequence did not move on
+    assert seq.n_children_spawned == 0
+
+
+def test_reused_seed_sequence_gives_the_same_draws():
+    atoms = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
+    ou = make_ou()
+    fhat = quantile_perturbed(atoms, ou, kappa=1e-2)
+    view = MarginalView(atoms, ou, 1.0)
+    runs = {
+        "multistep_sample": lambda ss: multistep_sample(
+            fhat, ou, SamplingTimeSchedule((4.0, 1.0)), 50, ss),
+        "sample_marginal": lambda ss: sample_marginal(view, 50, ss),
+        "evaluation_error": lambda ss: evaluation_error(
+            fhat, exact_two_point(atoms, ou), view, 400, ss),
+        "consistency_loss": lambda ss: consistency_loss(
+            fhat, atoms, ou, TrainingPartition(0.5, 4), 1, 200, ss, step=0.05),
+    }
+    for name, run in runs.items():
+        seq = np.random.SeedSequence(3)
+        first, second = run(seq), run(seq)
+        if isinstance(first, np.ndarray):
+            assert first.tobytes() == second.tobytes(), name
+            assert first.tobytes() == run(3).tobytes(), name
+        else:
+            assert first == second == run(3), name
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5, "3"],
+                         ids=["generator", "float", "str"])
+def test_chunk_rngs_rejects_other_seeds(seed):
+    with pytest.raises(TypeError, match="an int, a sequence of ints or a numpy.random.SeedSequence"):
+        chunk_rngs(seed)

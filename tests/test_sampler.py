@@ -65,7 +65,7 @@ def test_truncated():
 
 def _recording(fhat):
     """``fhat`` wrapped so that each call keeps a copy of its input: the
-    noisy points of every stage, stacked as ``(N, n, d)`` by ``noisy()``."""
+    noisy points of every stage, stacked as ``(N, n)`` by ``noisy()``."""
     seen = []
 
     def fn(pts, t):
@@ -78,7 +78,7 @@ def _recording(fhat):
 def test_single_step_proportions():
     f = exact_two_point(TWO_ATOM, OU)
     x0 = multistep_sample(f, OU, SamplingTimeSchedule((10.0,)), 100_000, seed=0)
-    out = x0[-1][:, 0]
+    out = x0[-1]
     p = float((out == 0.0).mean())
     # initial noise is symmetric about the boundary, so p = 1/2
     assert abs(p - 0.5) < 4.0 * math.sqrt(0.25 / 100_000)
@@ -91,23 +91,13 @@ def test_trajectory_record_shapes_and_determinism():
     (fa, noisy_a), (fb, noisy_b), (fc, noisy_c) = (_recording(f) for _ in range(3))
     a = multistep_sample(fa, OU, taus, 3000, seed=42)
     b = multistep_sample(fb, OU, taus, 3000, seed=42)
-    assert noisy_a().shape == a.shape == (2, 3000, 1)
+    assert noisy_a().shape == a.shape == (2, 3000)
     np.testing.assert_array_equal(noisy_a(), noisy_b())
     np.testing.assert_array_equal(a, b)
     multistep_sample(fc, OU, taus, 3000, seed=43)
     assert not np.array_equal(noisy_a(), noisy_c())
     with pytest.raises(NumericError):
         multistep_sample(f, OU, taus, 0, seed=0)
-
-
-def test_multidimensional_sampling():
-    f, noisy = _recording(ConsistencyFn(lambda pts, t: 0.0 * pts))
-    x0 = multistep_sample(f, OU, SamplingTimeSchedule((5.0, 1.0)), 500, 0, dim=3)
-    assert noisy().shape == (2, 500, 3)
-    np.testing.assert_array_equal(x0[-1], np.zeros((500, 3)))
-    # stage-2 noisy law is then N(0, sigma2(1) I)
-    s2 = float(noisy()[1].var())
-    assert s2 == pytest.approx(-math.expm1(-2.0), rel=0.15)
 
 
 def test_renoising_is_gaussian():
@@ -118,24 +108,24 @@ def test_renoising_is_gaussian():
     x0 = multistep_sample(f, OU, taus, 2000, seed=0)
     a2 = math.exp(-9.0)
     s2 = math.sqrt(-math.expm1(-18.0))
-    z = (noisy()[1] - a2 * x0[0])[:, 0] / s2
+    z = (noisy()[1] - a2 * x0[0]) / s2
     res = scipy.stats.anderson(z, dist="norm", method="interpolate")
     assert res.pvalue > 0.01
 
 
-def _chunk_major_reference(fhat, schedule, taus, n, seed, dim=1):
+def _chunk_major_reference(fhat, schedule, taus, n, seed):
     """The sampler run chunk by chunk: each chunk takes all its stages with
     its own generator and its own oracle calls, then the chunks are joined."""
     ts = taus.taus
     noisy, denoised = [], []
     for rng, m in zip(chunk_rngs(seed), chunk_sizes(n)):
-        nz = np.empty((len(ts), m, dim))
-        dn = np.empty((len(ts), m, dim))
-        x = math.sqrt(float(schedule.sigma2(ts[0]))) * rng.standard_normal((m, dim))
+        nz = np.empty((len(ts), m))
+        dn = np.empty((len(ts), m))
+        x = math.sqrt(float(schedule.sigma2(ts[0]))) * rng.standard_normal(m)
         for i, t in enumerate(ts):
             if i > 0:
                 x = (float(schedule.alpha(t)) * x0
-                     + math.sqrt(float(schedule.sigma2(t))) * rng.standard_normal((m, dim)))
+                     + math.sqrt(float(schedule.sigma2(t))) * rng.standard_normal(m))
             nz[i] = x
             x0 = fhat(x, t)
             dn[i] = x0
@@ -177,10 +167,11 @@ def test_batched_stages_match_chunk_major_reference(oracle, n):
 
 @pytest.mark.parametrize("per_stage", [None, lambda x: x])
 def test_wrong_shaped_oracle_output_raises(per_stage):
-    # a (1, 1) output would broadcast to every row of the stage array
+    # a (1, 1) output would broadcast to every point of the stage array;
+    # stage 1 runs at t = 2
     f = ConsistencyFn(lambda x, t: np.zeros((1, 1)) + t)
     taus = SamplingTimeSchedule((2.0, 1.0))
-    with pytest.raises(NumericError, match=r"stage 1: .*\(1, 1\) for \(5, 1\)"):
+    with pytest.raises(NumericError, match=r"\(1, 1\) for 5 points at t = 2\.0"):
         multistep_sample(f, OU, taus, 5, seed=0, per_stage=per_stage)
 
 
@@ -217,9 +208,9 @@ def test_one_oracle_call_per_stage():
 
     taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
     f, rec_noisy = _recording(ConsistencyFn(fn))
-    x0 = multistep_sample(f, OU, taus, 1001, seed=4, dim=2)
-    assert calls == [(t, (1001, 2)) for t in taus.taus]
-    noisy, denoised = _chunk_major_reference(ConsistencyFn(fn), OU, taus, 1001, seed=4, dim=2)
+    x0 = multistep_sample(f, OU, taus, 1001, seed=4)
+    assert calls == [(t, (1001,)) for t in taus.taus]
+    noisy, denoised = _chunk_major_reference(ConsistencyFn(fn), OU, taus, 1001, seed=4)
     np.testing.assert_array_equal(rec_noisy(), noisy)
     np.testing.assert_array_equal(x0, denoised)
 
@@ -330,14 +321,14 @@ def test_threshold_stage_laws_match_sampler():
 
     # stage 1 is pure noise
     means, variances, w = views[0].mixture_params()
-    assert means.shape == (1, 1) and float(means[0, 0]) == 0.0
+    assert means.shape == (1,) and float(means[0]) == 0.0
     assert float(variances[0]) == pytest.approx(-math.expm1(-28.0), rel=1e-12)
 
     n = 100_000
     x0 = multistep_sample(f, OU, taus, n, seed=6)
     se = math.sqrt(0.25 / n)
     for stage in range(2):
-        p_emp = float((x0[stage][:, 0] == 0.0).mean())
+        p_emp = float((x0[stage] == 0.0).mean())
         assert abs(p_emp - weights[stage]) < 4.0 * se
 
 

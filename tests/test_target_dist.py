@@ -86,7 +86,7 @@ def test_mixture_params_kernel_identity():
     means, variances, weights = view.mixture_params()
     a = math.exp(-t)
     s2 = -math.expm1(-2 * t)
-    np.testing.assert_array_equal(means, a * SKEWED.locations)
+    np.testing.assert_array_equal(means, a * SKEWED.locations[:, 0])
     np.testing.assert_array_equal(variances, np.full(2, s2))
     np.testing.assert_array_equal(weights, SKEWED.weights)
 
@@ -155,7 +155,7 @@ def _fd_score(view, x, h=1e-6):
 def test_score_matches_log_density_gradient():
     view = MarginalView(SKEWED, OU, 2.0)
     for x in (-2.0, 0.0, 5.0, 13.0, 30.0):
-        assert float(score(view, x)[0]) == pytest.approx(_fd_score(view, x), rel=1e-5)
+        assert float(score(view, x)) == pytest.approx(_fd_score(view, x), rel=1e-5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,23 +167,26 @@ def test_score_fd_fuzz(x, t):
     view = MarginalView(
         GaussianMixtureTarget([[-1.0], [2.0]], [0.5, 2.0], [0.4, 0.6]), OU, t
     )
-    got = float(score(view, x)[0])
+    got = float(score(view, x))
     assert got == pytest.approx(_fd_score(view, x), rel=1e-4, abs=1e-7)
 
 
 def test_score_vector_shape():
-    view = MarginalView(
-        DiscreteTarget([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5]), OU, 1.0
-    )
-    pts = np.array([[0.1, 0.2], [0.5, 1.0], [1.0, 2.0]])
-    out = score(view, pts)
-    assert out.shape == (3, 2)
-    # single gaussian sanity in 2-D: score(x) = (mean - x) / var
-    g = MarginalView(GaussianMixtureTarget([[1.0, -1.0]], [2.0], [1.0]), OU, 0.7)
+    view = MarginalView(DiscreteTarget([[0.0], [1.0]], [0.5, 0.5]), OU, 1.0)
+    pts = np.array([0.1, 0.5, 2.0])
+    assert score(view, pts).shape == (3,)
+    assert score(view, 0.5).shape == ()
+    # single gaussian sanity: score(x) = (mean - x) / var
+    g = MarginalView(GaussianMixtureTarget([[1.0]], [2.0], [1.0]), OU, 0.7)
     means, variances, _ = g.mixture_params()
     np.testing.assert_allclose(
         score(g, pts), (means[0] - pts) / variances[0], rtol=1e-12
     )
+    # Every entry is a point: with one component, a column must not
+    # broadcast against the component axis; it comes back in its own shape.
+    for fn in (score, marginal_logpdf):
+        flat = fn(g, pts)
+        np.testing.assert_array_equal(fn(g, pts[:, None]), flat[:, None])
 
 
 def test_score_and_logpdf_rows_do_not_depend_on_the_batch():
@@ -195,8 +198,8 @@ def test_score_and_logpdf_rows_do_not_depend_on_the_batch():
     )
     view = MarginalView(target, OU, 0.5)
     x = rng.uniform(-6.0, 6.0, 64)
-    one_by_one = np.array([[score(view, v)[0], marginal_logpdf(view, v)] for v in x])
-    together = np.column_stack([score(view, x)[:, 0], marginal_logpdf(view, x)])
+    one_by_one = np.array([[score(view, v), marginal_logpdf(view, v)] for v in x])
+    together = np.column_stack([score(view, x), marginal_logpdf(view, x)])
     np.testing.assert_array_equal(one_by_one.view(np.int64), together.view(np.int64))
 
 
@@ -423,17 +426,17 @@ def test_sampling_mean():
     view = MarginalView(SKEWED, OU, 1.0)
     n = 20000
     x = sample_marginal(view, n, seed=3)
-    assert x.shape == (n, 1)
+    assert x.shape == (n,)
     means, variances, weights = view.mixture_params()
-    mean = float(weights @ means[:, 0])
-    var = float(weights @ (variances + means[:, 0] ** 2) - mean**2)
+    mean = float(weights @ means)
+    var = float(weights @ (variances + means**2) - mean**2)
     se = math.sqrt(var / n)
     assert abs(float(x.mean()) - mean) < 4.0 * se
 
 
 def test_sampling_at_time_zero_is_exact():
     view = MarginalView(SKEWED, OU, 0.0)
-    x = sample_marginal(view, 100_000, seed=0)[:, 0]
+    x = sample_marginal(view, 100_000, seed=0)
     assert set(np.unique(x)) == {0.0, 100.0}
     counts = np.array([(x == 0.0).sum(), (x == 100.0).sum()])
     _, p = scipy.stats.chisquare(counts, f_exp=np.array([0.3, 0.7]) * x.size)
@@ -576,14 +579,18 @@ def test_geometry_matches_two_branch_formula(target):
 ], ids=["atoms", "gmm3_t0", "gmm3", "gmm_2d"])
 def test_marginal_logpdf_matches_allocating_formula(target, t):
     view = MarginalView(target, OU, t)
+    pts = np.random.default_rng(5).normal(0.0, 6.0, 257)
+    if target.dim != 1:  # points are scalars: a 2-D target is refused
+        with pytest.raises(NumericError, match="1-D target"):
+            marginal_logpdf(view, pts)
+        return
     means, variances, weights = view.mixture_params()
-    pts = np.random.default_rng(5).normal(0.0, 6.0, (257, target.dim))
     # The formula as written before the log terms were built in place.
-    pull = means[:, None, :] - pts[None, :, :]
-    sq = np.einsum("knd,knd->kn", pull, pull)
-    coefs = np.log(weights) - 0.5 * target.dim * np.log(2.0 * np.pi * variances)
+    pull = means[:, None] - pts[None, :]
+    sq = pull * pull
+    coefs = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
     logc = coefs[:, None] - 0.5 * (sq / variances[:, None])
     m = logc.max(axis=0)
     want = np.where(np.isfinite(m), m + np.log(np.exp(logc - m).sum(axis=0)), m)
-    got = marginal_logpdf(view, pts[:, 0] if target.dim == 1 else pts)
+    got = marginal_logpdf(view, pts)
     assert got.tobytes() == want.tobytes()
