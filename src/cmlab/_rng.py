@@ -10,13 +10,15 @@ chunk order; the Monte Carlo evaluators (``consistency_loss``,
 ``evaluation_error``) and ``sample_marginal`` use it.  Their per-chunk
 work is many small numpy calls that hold the interpreter lock, so threads
 would only contend for it.  The multistep sampler takes the chunk
-generators from ``chunk_rngs`` and fills each stage's noise in lanes of
-chunks, one thread per usable CPU: a bulk ``standard_normal`` fill and
-elementwise arithmetic on disjoint slices, which release the lock and give
-the same bits for any lane count.  It then makes one batched
+generators from ``chunk_rngs`` and puts each stage's chunks in one shared
+queue, which lanes, one thread per usable CPU, drain: a bulk
+``standard_normal`` fill and elementwise arithmetic on each chunk's own
+slice, which release the lock and give the same bits for any lane count
+and whichever lane takes a chunk.  It then makes one batched
 consistency-function call per stage.  A stage's noise reads only the
 previous stage's output, so the draws and their bits are the same whether
-the sampler keeps every stage or hands each one to a per-stage function.
+the sampler keeps every stage or hands each one to a per-stage function,
+which runs while the next stage's noise is drawn.
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ def coupling_quantiles(target: Target, n: int) -> np.ndarray:
     """
     if n < 1:
         raise NumericError("need at least one sample")
-    u = (np.arange(1, n + 1) - 0.5) / n
+    u = np.arange(0.5, n)
+    u /= n
     return target_quantiles_1d(target, u)
 
 

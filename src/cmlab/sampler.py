@@ -105,16 +105,21 @@ def multistep_sample(
 
     The ``n`` points are split into the fixed chunks of ``_rng`` and each
     chunk draws its noise from its own child generator, stage after stage,
-    into its slice of one ``(n,)`` noisy slab, reused by every stage.  The
-    chunks are dealt into lanes, one per usable CPU, and the lanes draw,
-    scale and re-centre their chunks' points in parallel threads (numpy
-    releases the interpreter lock in all three); re-centring adds ``alpha
-    x0`` of the previous stage through one chunk-sized temporary.  The
-    arithmetic is elementwise on disjoint slices, so the result is bitwise
-    the same for every lane count, with or without ``per_stage``.  Every
-    stage then makes one consistency-function call on all ``n`` points.  An
-    output that shares memory with the noisy slab is copied before the slab
-    is redrawn.  The result is deterministic for a given seed, a reused
+    into its slice of one ``(n,)`` noisy slab, reused by every stage.  Each
+    stage puts all the chunks in one queue, and lanes, one per usable CPU,
+    take chunks from it in parallel threads until it is empty, drawing,
+    scaling and re-centring each chunk's points (numpy releases the
+    interpreter lock in all three); re-centring adds ``alpha x0`` of the
+    previous stage through one chunk-sized temporary.  The arithmetic is
+    elementwise on disjoint slices, so the result is bitwise the same for
+    every lane count and whichever lane takes a chunk, with or without
+    ``per_stage``.  Every stage then makes one consistency-function call on
+    all ``n`` points, on the calling thread.  As soon as it returns, the
+    worker lanes start on the next stage's queue while the calling thread
+    runs ``per_stage(x0)``, then joins the draw.  The renoise only reads
+    ``x0``, which is why ``per_stage`` must leave it as it is.  An output
+    that shares memory with the noisy slab is copied before the slab is
+    redrawn.  The result is deterministic for a given seed, a reused
     ``SeedSequence`` included.
     """
     # Imported here: ``concurrent.futures.thread`` (with ``queue``) is the
@@ -130,40 +135,43 @@ def multistep_sample(
         for rng, lo, hi in zip(chunk_rngs(seed), edges[:-1], edges[1:])
     ]
     workers = _lane_count()
-    lanes = [chunks[k::workers] for k in range(workers)]
     x = np.empty(n)
     result = np.empty((len(ts), n)) if per_stage is None else []
 
-    def renoise(lane, scale, alpha, prev):
-        for rng, part in lane:
+    def renoise(queue, scale, alpha, prev):
+        # Every lane of a stage iterates the same list iterator, whose
+        # ``next`` is atomic under the interpreter lock: each chunk is drawn
+        # exactly once, by whichever lane takes it.
+        for rng, part in queue:
             noisy = rng.standard_normal(out=x[part])
             noisy *= scale
             if prev is not None:
                 noisy += np.multiply(prev[part], alpha)
 
-    # The calling thread takes the first lane itself, so one usable CPU
-    # starts no thread and each stage waits on one handoff fewer.
-    prev = None
+    # The calling thread drains the queue too, so one usable CPU starts no
+    # thread and each stage waits on one handoff fewer.
+    out = None
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for i, t in enumerate(ts):
-            scale = math.sqrt(float(schedule.sigma2(t)))
-            alpha = float(schedule.alpha(t))
-            futures = [
-                pool.submit(renoise, lane, scale, alpha, prev) for lane in lanes[1:]
-            ]
-            renoise(lanes[0], scale, alpha, prev)
+            draw = (iter(chunks), math.sqrt(float(schedule.sigma2(t))),
+                    float(schedule.alpha(t)), out)
+            futures = [pool.submit(renoise, *draw) for _ in range(workers - 1)]
+            if per_stage is not None and i:
+                result.append(per_stage(out))  # while the lanes draw
+            renoise(*draw)
             for future in futures:
                 future.result()
             # the renoise has read the last output: drop it before fhat
             # allocates the next one
-            out = prev = None
+            out = draw = None
             out = fhat(x, t)
             if per_stage is None:
                 result[i] = out
-                prev = result[i]
-            else:
-                prev = out.copy() if np.shares_memory(out, x) else out
-                result.append(per_stage(prev))
+                out = result[i]
+            elif np.shares_memory(out, x):
+                out = out.copy()
+    if per_stage is not None:
+        result.append(per_stage(out))
     return result
 
 

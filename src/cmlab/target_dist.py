@@ -51,9 +51,10 @@ def _as_weights(w, k: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (k,):
         raise ValueError(f"expected {k} weights, got shape {w.shape}")
-    if np.any(w <= 0):
+    # both tests are written so that a NaN weight fails them
+    if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
+    if not abs(float(w.sum()) - 1.0) <= 1e-12:
         raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
     return w
 
@@ -473,7 +474,7 @@ def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
     if np.any(variances <= 0):
         order = np.argsort(means)
         idx = np.searchsorted(np.cumsum(weights[order]), u, side="left")
-        return means[order][np.minimum(idx, means.size - 1)]
+        return np.take(means[order], idx, mode="clip")
     sds = np.sqrt(variances)
     if means.size == 1:
         return means[0] + sds[0] * ndtri(u)

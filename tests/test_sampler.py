@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -182,16 +183,53 @@ def _pretend_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
 @pytest.mark.parametrize("n", [5, 1000])
-@pytest.mark.parametrize("oracle", ["threshold", "affine", "pf_ode"])
+@pytest.mark.parametrize("oracle", ["threshold", "affine", "pf_ode", "identity"])
 def test_worker_count_does_not_change_record(monkeypatch, oracle, n, cpus):
-    # n = 5 is below the chunk count, so some lanes draw only empty chunks.
+    # n = 5 is below the chunk count, so some lanes find the queue empty.
+    # With per_stage, which runs while the next stage's noise is drawn, both
+    # the copy it takes at call time and the array it was handed, read after
+    # the run, must be the stage's output.
     _pretend_cpus(monkeypatch, cpus)
     assert sampler._lane_count() == cpus
     make, schedule, times = _ORACLES[oracle]
     taus = SamplingTimeSchedule(times)
     x0 = multistep_sample(make(), schedule, taus, n, seed=7)
+    handed = multistep_sample(make(), schedule, taus, n, seed=7,
+                              per_stage=lambda x: (x, x.copy()))
     _, denoised = _chunk_major_reference(make(), schedule, taus, n, seed=7)
     np.testing.assert_array_equal(x0, denoised)
+    assert len(handed) == len(times)
+    np.testing.assert_array_equal(np.stack([seen for _, seen in handed]), denoised)
+    np.testing.assert_array_equal(np.stack([x for x, _ in handed]), denoised)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("failing", ["per_stage", "fhat"])
+def test_stage_error_propagates_and_joins_the_lanes(monkeypatch, failing, cpus):
+    # A failure at stage 2 of 3 ends the run with that error, after the
+    # lanes already drawing stage 3 (when per_stage fails) have finished.
+    _pretend_cpus(monkeypatch, cpus)
+    taus = SamplingTimeSchedule((6.0, 3.0, 1.0))
+    fhat_calls, stage_calls = [], []
+
+    def fn(x, t):
+        fhat_calls.append(t)
+        if failing == "fhat" and len(fhat_calls) == 2:
+            raise RuntimeError("fhat failed")
+        return 0.5 * x
+
+    def per_stage(x0):
+        stage_calls.append(x0.size)
+        if failing == "per_stage" and len(stage_calls) == 2:
+            raise RuntimeError("per_stage failed")
+        return float(x0.mean())
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        multistep_sample(ConsistencyFn(fn), OU, taus, 5000, seed=1, per_stage=per_stage)
+    assert threading.active_count() == before
+    assert fhat_calls == [6.0, 3.0]
+    assert stage_calls == ([5000, 5000] if failing == "per_stage" else [5000])
 
 
 def test_lane_count_is_capped_at_chunk_count(monkeypatch):

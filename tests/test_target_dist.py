@@ -75,6 +75,19 @@ def test_gmm_validation():
         GaussianMixtureTarget([[0.0]], [1.0], [1.0], log_smoothness=-2.0)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan], [math.inf, 0.5], [-math.inf, 0.5]],
+)
+def test_non_finite_weights_are_refused(weights):
+    # NaN compares False both ways, so "no weight <= 0" and "the sum is not
+    # off by more than 1e-12" would both let it through
+    with pytest.raises(ValueError, match="weights must"):
+        DiscreteTarget([[0.0], [100.0]], weights)
+    with pytest.raises(ValueError, match="weights must"):
+        GaussianMixtureTarget([[0.0], [1.0]], [1.0, 1.0], weights)
+
+
 def test_view_checks_time():
     with pytest.raises(NumericError):
         MarginalView(TWO_ATOM, OU, -1.0)
