@@ -11,8 +11,9 @@ provides:
 * ``pf_ode_consistency`` — a numerically integrated oracle running the
   probability-flow ODE in denoiser form, ``dy/dlam = (y - D(y, lam)) / lam``
   in ``y = x / alpha`` against ``lam = sigma / alpha`` (the same equation
-  for every schedule), backward with fixed-step RK4 to the noise floor
-  ``lam = 1e-6``, where it returns the posterior mean ``D``;
+  for every schedule), backward with RK4 on nodes uniform in
+  ``asinh(lam**(1/3))`` to the noise floor ``lam = 1e-6``, where it
+  returns the posterior mean ``D``;
 * ``quantile_perturbed`` — a deliberately miscalibrated threshold estimator
   whose decision boundary sits at the ``0.5 + kappa * t**2`` quantile of the
   true marginal, giving a mean squared evaluation error of exactly
@@ -253,14 +254,17 @@ def pf_ode_transport(
     """Advance points along the probability-flow ODE from ``t_from`` to ``t_to``.
 
     The points are mapped to ``y = x / alpha(t_from)`` and integrated in
-    ``lam = sigma / alpha`` (see :func:`_pf_ode_field`) by classical RK4
-    with ``ceil(|t_to - t_from| / step)`` steps.  The step nodes are ``lam``
-    at equally spaced times from ``t_from`` to ``t_to``, so the endpoint is
-    hit exactly, and the middle stages sit at the midpoints in ``lam`` of
-    each step.  Works in either time direction.  ``lam`` is floored at
-    ``1e-6`` at both ends for every target, so ``t = 0`` is reached as that
-    noise level; a point on an atom stays on it.  Returns ``alpha(t_to) *
-    y``, in the shape of ``x``: every entry is a point.
+    ``lam = sigma / alpha`` (see :func:`_pf_ode_field`) by classical RK4.
+    The ODE is autonomous in ``lam``, so only the two end levels matter:
+    each is floored at ``1e-6``, so ``t = 0`` is reached as that noise
+    level and a point on an atom stays on it.  The step nodes are uniform
+    in ``v = asinh(lam**(1/3))``, with ``ceil(|v_to - v_from| / step)``
+    steps, and the end nodes are the two end levels exactly.  ``v`` is
+    EDM's ``lam**(1/3)`` spacing near ``lam = 0`` (Karras et al.,
+    arXiv:2206.00364) and log spacing at large ``lam``.  The middle stages
+    sit at the midpoints in ``lam`` of each step.  Works in either time
+    direction.  Returns ``alpha(t_to) * y``, in the shape of ``x``: every
+    entry is a point.
     """
     step = _check_step(step)
     x = np.asarray(x, dtype=float)
@@ -268,21 +272,26 @@ def pf_ode_transport(
     t_to = float(t_to)
     if t_from == t_to:
         return x.copy()
-    n_steps = int(math.ceil(abs(t_to - t_from) / step))
-    if n_steps > _MAX_ODE_STEPS:
+    ends = schedule.check_time([t_from, t_to])
+    alphas = np.asarray(schedule.alpha(ends), dtype=float)
+    ends_lam = np.maximum(schedule.sigma(ends) / alphas, _LAMBDA_FLOOR)
+    v_from, v_to = np.arcsinh(np.cbrt(ends_lam)).tolist()
+    span = abs(v_to - v_from) / step
+    if not span <= _MAX_ODE_STEPS:  # NaN and inf included
         raise NumericError(
-            f"RK4 step count {n_steps} exceeds the {_MAX_ODE_STEPS} limit"
+            f"RK4 from lam = {ends_lam[0]} to {ends_lam[1]} at step {step} needs "
+            f"{span:.3g} steps, over the {_MAX_ODE_STEPS} limit"
         )
-    times = schedule.check_time(np.linspace(t_from, t_to, n_steps + 1))
-    lams = np.maximum(schedule.sigma(times) / schedule.alpha(times), _LAMBDA_FLOOR)
+    n_steps = math.ceil(span)
+    lams = np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3
+    lams[[0, -1]] = ends_lam  # the round trip through v is not exact
     # Nodes and midpoints interleaved: the stages of step k sit at 2k, 2k+1
-    # and 2k+2.  Midpoints of lam, not lam at the middle time, keep the
-    # scheme fourth order where lam(t) is far from linear (OU near t = 0).
+    # and 2k+2.
     nodes = np.empty(2 * n_steps + 1)
     nodes[0::2] = lams
     nodes[1::2] = 0.5 * (lams[:-1] + lams[1:])
     field = _pf_ode_field(target, nodes)
-    a_from, a_to = np.asarray(schedule.alpha(times[[0, -1]]), dtype=float).tolist()
+    a_from, a_to = alphas.tolist()
     y = x.ravel() / a_from
 
     # Stage points and the step combination are built in place, in the
@@ -315,9 +324,9 @@ def pf_ode_consistency(
 ) -> ConsistencyFn:
     """Consistency function computed by integrating the reverse ODE.
 
-    :func:`pf_ode_transport` with steps of at most ``step`` runs from ``t``
-    down to ``t = 0``, that is to the noise floor ``lam = 1e-6``, and the
-    output is the posterior mean there,
+    :func:`pf_ode_transport`, with steps of at most ``step`` in ``v =
+    asinh(lam**(1/3))``, runs from ``t`` down to ``t = 0``, that is to the
+    noise floor ``lam = 1e-6``, and the output is the posterior mean there,
 
         y + sum_k r_k (m_k - y) lam**2 / (v_k + lam**2),
 
@@ -405,7 +414,8 @@ def consistency_loss(
 
     Estimates ``E_{x ~ p_{t_i}} | fhat(x, t_i) - fhat(phi(t_{i+1}; x, t_i),
     t_{i+1}) |^2`` where ``phi`` advances the probability-flow ODE one
-    partition step forward in time, by RK4 with steps of at most ``step``.
+    partition step forward in time, by :func:`pf_ode_transport` with steps
+    of at most ``step`` in ``v = asinh(lam**(1/3))``.
     """
     step = _check_step(step)
     if not 0 <= i <= partition.m - 1:

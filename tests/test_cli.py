@@ -551,7 +551,7 @@ def test_experiment_on_2d_target_exits_3_before_sampling(
 _CSV_DIGESTS = {
     "bernoulli_ve_halving.csv": "0daed1a06e34be998f36d77d9282ca00d58bb3309c8bdeff02fff5003779777d",
     "gaussian_tv.csv": "b5805aba071e74c6ceeeda73e9ec6455c38c5f39b31ff465ba8c81ec80884169",
-    "pfode_gmm.csv": "26b03a5ab7cafd736d302d4b22d505abd4c6b703b94bf84d67ff928b1adee1a7",
+    "pfode_gmm.csv": "aba3adbdf37db5ceef48416f9ad667448fa2670e12f11e545eb74b74c486144d",
     "reproduce_sim.csv": "85035550a6b72bf4476eb61173369b81ba15095703de3949d40acc1ccb7c4943",
     "unused.csv": "11de20e5394f51cf4d74ab6e8b6a37150efdb4303ad2bdcc25ef0972806b05bb",
 }

@@ -27,6 +27,7 @@ from cmlab import (
     quantile_perturbed,
     target_quantiles_1d,
 )
+from cmlab import consistency_oracle
 from cmlab._rng import chunk_moments, map_chunks, merge_moments
 from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
 from cmlab.target_dist import _sample_mixture
@@ -177,7 +178,7 @@ def test_pf_ode_matches_affine_oracle():
 
     For N(0, 0.25) under OU the consistency function is linear with slope
     sqrt(v / V_t); the solver stops at the noise floor lam = 1e-6 and
-    returns the posterior mean there (about 2e-8 off at the default step).
+    returns the posterior mean there (about 4e-13 off at the default step).
     """
     target = GaussianMixtureTarget([[0.0]], [0.25], [1.0])
     f = pf_ode_consistency(target, OU)
@@ -237,6 +238,69 @@ def test_pf_ode_transport_noop():
 def test_pf_ode_step_cap():
     with pytest.raises(NumericError):
         pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=1e-12)
+
+
+def _count_field_calls(monkeypatch):
+    """Patch the PF-ODE field so each transport records its node count and
+    the number of field evaluations it made."""
+    runs = []
+    make_field = consistency_oracle._pf_ode_field
+
+    def counting(target, lams):
+        field = make_field(target, lams)
+        run = {"nodes": len(lams), "calls": 0}
+        runs.append(run)
+
+        def counted(j, y):
+            run["calls"] += 1
+            return field(j, y)
+
+        return counted
+
+    monkeypatch.setattr(consistency_oracle, "_pf_ode_field", counting)
+    return runs
+
+
+@pytest.mark.parametrize("t, step, schedule, n_steps", [
+    (4.0, 0.01, make_ve(), 124),
+    (1.0, 0.01, make_ve(), 88),
+    (14.0, 1e-3, OU, 5350),
+], ids=["ve4", "ve1", "ou14"])
+def test_pf_ode_takes_ceil_dv_over_step_rk4_steps(monkeypatch, t, step, schedule, n_steps):
+    # Steps uniform in v = asinh(lam**(1/3)): ceil(|dv| / step) of them,
+    # four field evaluations each, backward from t to the noise floor and
+    # forward from 0 to t as consistency_loss runs the partition step.
+    lam = float(_lambdas(schedule, [t])[0])
+    dv = math.asinh(lam ** (1 / 3)) - math.asinh(1e-6 ** (1 / 3))
+    assert math.ceil(dv / step) == n_steps
+    runs = _count_field_calls(monkeypatch)
+    x = np.array([-1.0, 0.5, 2.0])
+    pf_ode_consistency(_GMM3, schedule, step)(x, t)
+    part = TrainingPartition(t, 1)
+    identity = ConsistencyFn(lambda y, _t: y)
+    consistency_loss(identity, _GMM3, schedule, part, i=0, n=2, seed=1, step=step)
+    assert len(runs) > 1  # one transport per non-empty Monte Carlo chunk
+    for run in runs:
+        assert run == {"nodes": 2 * n_steps + 1, "calls": 4 * n_steps}
+
+
+def test_pf_ode_between_floored_levels_takes_no_step(monkeypatch):
+    # Both ends below lam = 1e-6 floor to the same level: no RK4 step, only
+    # the change of variables y = x / alpha.
+    runs = _count_field_calls(monkeypatch)
+    x = np.array([-2.0, 0.3, 5.0])
+    np.testing.assert_array_equal(pf_ode_transport(_GMM3, make_ve(), x, 5e-7, 0.0), x)
+    got = pf_ode_transport(_GMM3, OU, x, 1e-13, 0.0)
+    np.testing.assert_array_equal(got, x / math.exp(-1e-13))
+    assert [run["calls"] for run in runs] == [0, 0]
+
+
+def test_pf_ode_step_cap_raises_before_building_the_grid(monkeypatch):
+    # VE t = 4 at step 1e-12 needs 1.2e12 steps; the cap raises before the
+    # step grid is started.
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(NumericError, match="limit"):
+        pf_ode_transport(_GMM3, make_ve(), np.array([1.0]), 4.0, 0.0, step=1e-12)
 
 
 def _lambdas(schedule, times):
@@ -323,9 +387,13 @@ def _allocating_field(target, lams):
 
 
 def _allocating_transport(target, schedule, x, t_from, t_to, step):
-    n_steps = int(math.ceil(abs(t_to - t_from) / step))
-    times = np.linspace(t_from, t_to, n_steps + 1)
-    lam = _lambdas(schedule, times)
+    # Nodes uniform in v = asinh(lam**(1/3)) between the two end levels,
+    # which are pinned exactly.
+    lam_from, lam_to = _lambdas(schedule, [t_from, t_to])
+    v_from, v_to = np.arcsinh(np.cbrt([lam_from, lam_to]))
+    n_steps = int(math.ceil(abs(v_to - v_from) / step))
+    lam = np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3
+    lam[0], lam[-1] = lam_from, lam_to
     nodes = np.empty(2 * n_steps + 1)
     nodes[0::2] = lam
     nodes[1::2] = 0.5 * (lam[:-1] + lam[1:])
@@ -434,6 +502,23 @@ def test_pf_ode_matches_monotone_rearrangement(schedule, t):
     x = np.array([marginal_quantile_1d(view, q) for q in u])
     got = pf_ode_consistency(_BENCH_GMM, schedule)(x, t)
     assert np.max(np.abs(got - target_quantiles_1d(_BENCH_GMM, u))) <= 1e-6
+
+
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_pf_ode_is_the_rearrangement_at_both_steps(schedule):
+    # At x = Q_t(u) the oracle must give Q_0(u) at every step size: the
+    # v-grid resolves lam near 0, where OU's lam = sqrt(2t) is steep in t.
+    u = (np.arange(256) + 0.5) / 256
+    want = target_quantiles_1d(_BENCH_GMM, u)
+    errors = {0.01: 0.0, 1e-3: 0.0}
+    for t in (0.5, 1.0, 4.0, 10.0, 14.0):
+        view = MarginalView(_BENCH_GMM, schedule, t)
+        x = np.array([marginal_quantile_1d(view, q) for q in u])
+        for step in errors:
+            got = pf_ode_consistency(_BENCH_GMM, schedule, step)(x, t)
+            errors[step] = max(errors[step], float(np.max(np.abs(got - want))))
+    assert errors[0.01] <= 5e-7
+    assert errors[1e-3] <= 1e-10
 
 
 def _scaled_rows(y, radius):
