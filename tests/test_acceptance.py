@@ -55,6 +55,7 @@ from cmlab import (
     w2_vs_target_1d,
 )
 from cmlab.cli import cmd_reproduce_sim, measure_eps_over_delta
+from cmlab.metrics import _gaussian_tv
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([[0.0], [100.0]], [0.5, 0.5])
@@ -425,6 +426,15 @@ def test_c10_metric_implementations_vs_oracles():
             math.log(s2 / s) + (s * s + (m1 - m2) ** 2) / (2.0 * s2 * s2) - 0.5
         )
         worst_kl = max(worst_kl, abs(kl - closed_kl))
+        # unequal variances: the closed form through the density crossings
+        tv = tv_grid(
+            lambda x: scipy.stats.norm.pdf(x, m1, s),
+            lambda x: scipy.stats.norm.pdf(x, m2, s2),
+            lo,
+            hi,
+            20001,
+        ).value
+        worst_tv = max(worst_tv, abs(tv - _gaussian_tv(m1, s * s, m2, s2 * s2)))
     ok = worst_w2 <= 1e-9 and worst_tv <= 1e-5 and worst_kl <= 1e-5
     elapsed = report(
         10,

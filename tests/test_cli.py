@@ -2,6 +2,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -367,6 +370,46 @@ def test_experiment_with_tv_config(tmp_path, capsys, monkeypatch):
         assert 0.0 <= tv <= tv_bound
 
 
+def test_overflowing_smoothing_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*_args, **_kwargs):
+        raise AssertionError("sampled with a non-finite smoothed variance")
+
+    monkeypatch.setattr(cli, "multistep_sample", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads((CONFIG_DIR / "gaussian_tv.json").read_text())
+    cfg["sampling"]["smoothing_sigma"] = 1e200  # squared, it overflows to inf
+    (tmp_path / "big.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "--config", "big.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: sampling.smoothing_sigma: 1e+200 squared overflows\n"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_tv_run_does_not_load_scipy_integrate(tmp_path):
+    # A fresh process, as a user runs it: the closed-form TV needs no
+    # quadrature module, whose import also loads scipy.optimize and linalg.
+    pkg_root = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pkg_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "import sys\n"
+        "from cmlab.cli import main\n"
+        f"rc = main(['experiment', '--config', {str(CONFIG_DIR / 'gaussian_tv.json')!r}])\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          cwd=tmp_path, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "gaussian_tv.csv").exists()
+
+
 def test_bounds_table(capsys):
     rc = main(["bounds", "--config", str(CONFIG_DIR / "two_step_bounds.json")])
     assert rc == 0
@@ -550,7 +593,7 @@ def test_experiment_on_2d_target_exits_3_before_sampling(
 # A change that moves an output byte updates these and says why.
 _CSV_DIGESTS = {
     "bernoulli_ve_halving.csv": "0daed1a06e34be998f36d77d9282ca00d58bb3309c8bdeff02fff5003779777d",
-    "gaussian_tv.csv": "b5805aba071e74c6ceeeda73e9ec6455c38c5f39b31ff465ba8c81ec80884169",
+    "gaussian_tv.csv": "1a5b0069438ed8bf4b56f44f880d94f45c9c80a6fe4f9675a689307c307ac939",
     "pfode_gmm.csv": "aba3adbdf37db5ceef48416f9ad667448fa2670e12f11e545eb74b74c486144d",
     "reproduce_sim.csv": "85035550a6b72bf4476eb61173369b81ba15095703de3949d40acc1ccb7c4943",
     "unused.csv": "11de20e5394f51cf4d74ab6e8b6a37150efdb4303ad2bdcc25ef0972806b05bb",

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,10 +20,15 @@ from cmlab import (
     w2_stderr_proxy,
     w2_vs_target_1d,
 )
-from cmlab.metrics import _coupling_w2, coupling_quantiles
+import cmlab.cli as cli
+from cmlab._config import load_experiment_config
+from cmlab.consistency_oracle import gaussian_affine_map
+from cmlab.metrics import _coupling_w2, _gaussian_tv, coupling_quantiles
+from cmlab.sampler import affine_stage_laws
 from cmlab.target_dist import target_quantiles_1d
 
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gauss_pdf(mean, sd):
@@ -333,3 +341,117 @@ def test_grid_prologue_errors_on_each_side(grid):
 def test_kl_support_violation():
     with pytest.raises(NumericError, match="support"):
         kl_grid(gauss_pdf(0, 1), gauss_pdf(300, 0.01), -12, 312, n_grid=200001)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Gaussian TV
+
+
+def mp_gaussian_tv(m1, v1, m2, v2):
+    """TV of two 1-D Gaussians at 50 digits: half the sum over the pieces
+    between the density crossings of |P_1(piece) - P_2(piece)|, which is the
+    integral of |p_1 - p_2| on each piece, since the sign is fixed there."""
+    with mpmath.workdps(50):
+        m1, v1, m2, v2 = (mpmath.mpf(float(x)) for x in (m1, v1, m2, v2))
+        d, a = m2 - m1, 1 / v1 - 1 / v2
+        if a == 0:
+            cuts = [m1 + d / 2]
+        else:  # a y^2 + 2 b y + c = 0 with y = x - m1, as in log p_1 = log p_2
+            b, c = d / v2, mpmath.log(v1 / v2) - d * d / v2
+            root = mpmath.sqrt(b * b - a * c)
+            cuts = sorted(m1 + (-b + sign * root) / a for sign in (-1, 1))
+        edges = [-mpmath.inf, *cuts, mpmath.inf]
+        total = mpmath.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            p1, p2 = (mpmath.ncdf(hi, m, mpmath.sqrt(v)) - mpmath.ncdf(lo, m, mpmath.sqrt(v))
+                      for m, v in ((m1, v1), (m2, v2)))
+            total += abs(p1 - p2)
+        return total / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-10, 10), st.floats(1e-2, 1e2),
+    st.floats(-10, 10), st.floats(1e-2, 1e2),
+)
+def test_gaussian_tv_matches_mpmath(m1, v1, m2, v2):
+    assert abs(_gaussian_tv(m1, v1, m2, v2) - float(mp_gaussian_tv(m1, v1, m2, v2))) <= 1e-15
+
+
+@pytest.mark.parametrize("law_a, law_b", [
+    ((0.0, 1.0), (1.0, 1.0)),                    # equal variances
+    ((-3.0, 2.5), (4.0, 2.5)),
+    ((0.0, 1.0), (0.0, 1.0 + 1e-12)),            # the quadratic is nearly linear
+    ((0.0, 1.0), (0.0, 1.0 - 1e-12)),
+    ((0.3, 7.0), (-0.2, 7.0 * (1.0 + 1e-12))),
+    ((50.0, 50.0), (50.0, 50.0 + 7.105427357601002e-15)),  # adjacent floats
+    ((0.0, 1.99999999), (1.0, 1.9999999900000003)),  # adjacent, same reciprocal
+    ((0.0, 1e300), (0.0, 1.0000000000000002e300)),  # q underflows to 0
+    ((2.0, 3.0), (-1.0, 0.5)),
+], ids=["equal-var", "equal-var-wide", "ratio-1+1e-12", "ratio-1-1e-12",
+        "ratio-shifted", "adjacent", "same-reciprocal", "underflow", "general"])
+def test_gaussian_tv_named_cases(law_a, law_b):
+    got = _gaussian_tv(*law_a, *law_b)
+    assert abs(got - float(mp_gaussian_tv(*law_a, *law_b))) <= 1e-15
+    assert abs(_gaussian_tv(*law_b, *law_a) - got) <= 1e-16  # swapped arguments
+
+
+def test_gaussian_tv_limits():
+    assert _gaussian_tv(0.7, 2.0, 0.7, 2.0) == 0.0  # identical laws, exactly
+    assert _gaussian_tv(-1.0, 1e-20, -1.0, 1e-20) == 0.0
+    # means 40 sd apart
+    for law in ((40.0, 1.0), (40.0, 1.3), (-40.0, 0.8)):
+        assert abs(_gaussian_tv(0.0, 1.0, *law) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("law", [
+    (math.nan, 1.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0),
+    (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -1.0),
+])
+def test_gaussian_tv_rejects_bad_laws(law):
+    with pytest.raises(NumericError, match="Gaussian TV needs finite laws"):
+        _gaussian_tv(*law)
+
+
+def gauss_tv_bench_config(tmp_path, seed=5):
+    """The benchmark's ``gauss_tv`` job config: the shipped TV config with the
+    target drawn from ``default_rng([seed, 1])`` and four stages."""
+    rng = np.random.default_rng([seed, 1])
+    cfg = json.loads((CONFIG_DIR / "gaussian_tv.json").read_text())
+    cfg["target"]["components"] = [[rng.uniform(1.0, 3.0), rng.uniform(0.3, 0.8), 1.0]]
+    cfg["sampling"]["taus"] = [4.0, 2.0, 1.0, 0.5]
+    path = tmp_path / "gauss_tv.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def smoothed_stage_laws(path):
+    """The CLI's TV cells of a config, and each stage's smoothed output law
+    beside the target law."""
+    cfg = load_experiment_config(str(path))
+    sigma_eps, tvs = cli._analytic_tv_info(cfg, float(cfg.eps_over_delta))
+    _, outputs = affine_stage_laws(
+        cfg.schedule, cfg.taus, lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t))
+    target = (float(cfg.target.means[0, 0]), float(cfg.target.variances[0]))
+    return tvs, [((m, v + sigma_eps * sigma_eps), target) for m, v in outputs]
+
+
+@pytest.mark.parametrize("config, stages", [("gaussian_tv.json", 2), (None, 4)],
+                         ids=["gaussian_tv.json", "gauss_tv-bench-seed5"])
+def test_cli_tv_cells_match_mpmath(tmp_path, config, stages):
+    path = CONFIG_DIR / config if config else gauss_tv_bench_config(tmp_path)
+    tvs, laws = smoothed_stage_laws(path)
+    assert len(tvs) == stages
+    for tv, (law, target) in zip(tvs, laws):
+        assert abs(tv - float(mp_gaussian_tv(*law, *target))) <= 1e-15
+
+
+def test_tv_grid_accuracy_on_bench_stages(tmp_path):
+    # How accurate the library's grid route is at 20001 points over +-12 sd:
+    # off by up to 2.2e-9 here, because |p_1 - p_2| has kinks at the crossings.
+    _, laws = smoothed_stage_laws(gauss_tv_bench_config(tmp_path))
+    for law, target in laws:
+        lo = min(m - 12 * math.sqrt(v) for m, v in (law, target))
+        hi = max(m + 12 * math.sqrt(v) for m, v in (law, target))
+        pdfs = (gauss_pdf(m, math.sqrt(v)) for m, v in (law, target))
+        assert abs(tv_grid(*pdfs, lo, hi, 20001).value - _gaussian_tv(*law, *target)) <= 5e-9
