@@ -27,7 +27,6 @@ from .consistency_oracle import (
     evaluation_error,
     exact_single_gaussian,
     exact_two_point,
-    gaussian_affine_map,
     pf_ode_consistency,
     pf_ode_transport,
     quantile_perturbed,
@@ -52,13 +51,12 @@ from .noise_schedule import (
 )
 from .sampler import (
     SamplingTimeSchedule,
-    affine_stage_laws,
     design_halving_ve,
     design_two_step_ou,
     design_uniform,
     multistep_sample,
     sigma_eps_optimal,
-    threshold_stage_laws,
+    stage_laws,
 )
 from .target_dist import (
     DiscreteTarget,
@@ -96,7 +94,6 @@ __all__ = [
     "TvBoundBreakdown",
     "TwoStepLeadingTerms",
     "W2BoundBreakdown",
-    "affine_stage_laws",
     "consistency_loss",
     "contraction",
     "custom_from_csv",
@@ -106,7 +103,6 @@ __all__ = [
     "evaluation_error",
     "exact_single_gaussian",
     "exact_two_point",
-    "gaussian_affine_map",
     "geometry",
     "kl_bound",
     "kl_grid",
@@ -126,8 +122,8 @@ __all__ = [
     "score",
     "sde_contraction_bound",
     "sigma_eps_optimal",
+    "stage_laws",
     "target_quantiles_1d",
-    "threshold_stage_laws",
     "tv_bound",
     "tv_grid",
     "two_step_ou_leading_terms",

@@ -218,7 +218,6 @@ class ExperimentConfig:
     schedule: NoiseSchedule
     delta: float
     estimator: ConsistencyFn
-    estimator_kind: str
     taus: SamplingTimeSchedule
     n: int
     seed: int
@@ -246,8 +245,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     delta = _get_number(raw, "delta", "config", default=1.0)
     if delta <= 0:
         raise ConfigError(f"delta: must be positive, got {delta}")
-    estimator_node = raw.get("estimator", {"estimator": "exact"})
-    estimator = build_estimator(estimator_node, target, schedule)
+    estimator = build_estimator(
+        raw.get("estimator", {"estimator": "exact"}), target, schedule
+    )
     sampling = _expect_mapping(raw["sampling"], "sampling")
     taus = build_design(sampling, delta)
     n = _get_number(sampling, "n", "sampling", default=100_000, integer=True)
@@ -286,13 +286,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     out = raw.get("out", "experiment.csv")
     if not isinstance(out, str) or not out:
         raise ConfigError("out: expected a file path")
-    estimator_kind = estimator_node.get("estimator", "exact")
     return ExperimentConfig(
         target=target,
         schedule=schedule,
         delta=delta,
         estimator=estimator,
-        estimator_kind=estimator_kind,
         taus=taus,
         n=n,
         seed=seed,

@@ -37,7 +37,7 @@ from .bounds import (
     w2_bound_modified,
     w2_bound_tail,
 )
-from .consistency_oracle import evaluation_error, gaussian_affine_map, quantile_perturbed
+from .consistency_oracle import evaluation_error, quantile_perturbed
 from .errors import CmlabError, ConfigError, NumericError
 from .metrics import (  # noqa: F401  (bench/spans.py wraps the W2 and TV names)
     _coupling_w2,
@@ -50,19 +50,14 @@ from .metrics import (  # noqa: F401  (bench/spans.py wraps the W2 and TV names)
 from .noise_schedule import make_ou
 from .sampler import (
     SamplingTimeSchedule,
-    affine_stage_laws,
     design_halving_ve,
     design_two_step_ou,
     design_uniform,
     multistep_sample,
     sigma_eps_optimal,
+    stage_laws,
 )
-from .target_dist import (
-    DiscreteTarget,
-    GaussianMixtureTarget,
-    MarginalView,
-    geometry,
-)
+from .target_dist import DiscreteTarget, MarginalView, geometry
 
 __all__ = ["main", "cmd_reproduce_sim", "cmd_experiment", "cmd_bounds"]
 
@@ -294,13 +289,16 @@ def _tv_sigma_eps(cfg: ExperimentConfig, eps_over_delta: float) -> float:
 
 
 def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
-    """Closed-form TV for single-Gaussian targets + exact estimator.
+    """Closed-form TV of each stage's smoothed output law against the target.
 
     Returns ``(sigma_eps, tvs)``: the smoothing level and, per stage, the TV
-    between the smoothed output law and the target, in closed form
+    between the output law of :func:`~cmlab.sampler.stage_laws`, smoothed
+    by ``sigma_eps**2``, and the target, in closed form
     (:func:`~cmlab.metrics._gaussian_tv`, good to about 1e-16 absolute).
     Returns None when TV is not requested; raises when it is requested but
-    the configuration admits no analytic output law.
+    the estimator has no exact law.  A target with a smoothness ``L`` is a
+    Gaussian mixture, and the only estimator with a law there is the affine
+    oracle of one Gaussian, so each output law is one Gaussian.
     """
     if not cfg.want_tv:
         return None
@@ -308,21 +306,17 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
     var_eps = sigma_eps * sigma_eps
     if not math.isfinite(var_eps):
         raise NumericError(f"sampling.smoothing_sigma: {sigma_eps:g} squared overflows")
-    if not (
-        isinstance(cfg.target, GaussianMixtureTarget)
-        and cfg.target.n_components == 1
-        and cfg.estimator_kind == "exact"
-    ):
+    if cfg.estimator.law is None:
         raise NumericError(
             "metrics.tv: analytic TV is only available for a single-Gaussian "
             "1-D target with the exact estimator (no density estimation is done)"
         )
     target_law = (float(cfg.target.means[0, 0]), float(cfg.target.variances[0]))
-    _, outputs = affine_stage_laws(
-        cfg.schedule, cfg.taus,
-        lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t),
-    )
-    return sigma_eps, [_gaussian_tv(m, v + var_eps, *target_law) for m, v in outputs]
+    _, outputs = stage_laws(cfg.schedule, cfg.taus, cfg.estimator)
+    return sigma_eps, [
+        _gaussian_tv(float(m), float(v) + var_eps, *target_law)
+        for (m,), (v,), _ in outputs
+    ]
 
 
 def cmd_experiment(config_path: str) -> int:

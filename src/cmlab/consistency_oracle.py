@@ -23,7 +23,11 @@ provides:
 
 Points are scalars.  All consistency functions map each entry of an array
 on its own, return it unchanged at ``t = 0`` (bit-exactly) and clamp it to
-``[-output_radius, output_radius]``.
+``[-output_radius, output_radius]``.  The two closed-form oracles, and the
+threshold-form ``quantile_perturbed``, also carry ``law``: the exact law of
+their output when the input is drawn from a 1-D Gaussian mixture, from
+which :func:`~cmlab.sampler.stage_laws` builds every stage law of the
+sampler.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .target_dist import (
     DiscreteTarget,
     GaussianMixtureTarget,
     MarginalView,
+    _mixture_cdf_1d,
     _mixture_score,
     _noised_params,
     _sample_mixture,
@@ -89,14 +94,16 @@ class ConsistencyFn:
     identity at ``t = 0`` and the clamp (none by default) are applied
     here, so any ``(x, t) -> x0`` map can be wrapped directly.
 
-    ``boundary`` is set for threshold-form maps (two-atom oracles and their
-    perturbations): it maps ``t`` to the decision boundary ``a_t``, which is
-    what makes the sampler's stage laws analytically computable.
+    ``law``, when set, maps a 1-D mixture ``(means, variances, weights)``,
+    as :meth:`~cmlab.target_dist.MarginalView.mixture_params` returns it,
+    and a time ``t > 0`` to the same triple for the exact law of
+    ``fn(X, t)`` with ``X`` drawn from that mixture.  Only the closed-form
+    constructors set it; it is what makes the sampler's stage laws exact.
     """
 
     fn: Callable
     output_radius: float = math.inf
-    boundary: Callable | None = None
+    law: Callable | None = None
 
     def __post_init__(self):
         if self.output_radius < 0:
@@ -146,14 +153,21 @@ def _threshold_oracle(lo: float, hi: float, boundary: Callable):
     """The rule ``lo`` where ``x < boundary(t)``, else ``hi`` (NaN included),
     for two atoms ``lo < hi``: ``np.where``, but as a gather from ``[hi,
     lo]`` indexed by the comparison, which on unordered points, such as a
-    sampler stage's, runs in about half ``where``'s time."""
+    sampler stage's, runs in about half ``where``'s time.  Its law puts the
+    mixture's mass below ``boundary(t)`` on ``lo`` and the rest on ``hi``,
+    as computed: a mixture far from the boundary gives a weight of 0."""
 
     def fn(x, t):
         index = np.empty(x.shape, np.intp)
         np.less(x, boundary(t), out=index, casting="unsafe")
         return np.take([hi, lo], index)
 
-    return ConsistencyFn(fn, max(abs(lo), abs(hi)), boundary)
+    def law(mixture, t):
+        means, variances, weights = mixture
+        r = float(_mixture_cdf_1d(boundary(t), means, np.sqrt(variances), weights))
+        return np.array([lo, hi]), np.zeros(2), np.array([r, 1.0 - r])
+
+    return ConsistencyFn(fn, law=law)
 
 
 def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> ConsistencyFn:
@@ -172,13 +186,6 @@ def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> Consiste
     return _threshold_oracle(lo, hi, boundary)
 
 
-def _gaussian_slope(v: float, schedule: NoiseSchedule, t: float):
-    """``alpha_t`` and the slope ``sqrt(v / V_t)``, ``V_t = alpha_t**2 v +
-    sigma2_t``, of the exact oracle for a Gaussian of variance ``v``."""
-    a = float(schedule.alpha(t))
-    return a, math.sqrt(v / (a * a * v + float(schedule.sigma2(t))))
-
-
 def exact_single_gaussian(
     target: GaussianMixtureTarget, schedule: NoiseSchedule
 ) -> ConsistencyFn:
@@ -189,31 +196,31 @@ def exact_single_gaussian(
     reverse ODE is linear, and trajectories scale deviations from the mean
     by the total standard deviation:
 
-        f(x, t) = m + sqrt(v / V_t) * (x - alpha_t m).
+        f(x, t) = slope * x + m (1 - alpha_t slope),  slope = sqrt(v / V_t).
 
-    A target that is not 1-D raises when the function is called.
+    Its law maps each mixture component through the same map.  A target
+    that is not 1-D raises when the function or its law is called.
     """
     if not isinstance(target, GaussianMixtureTarget) or target.n_components != 1:
         raise NumericError("closed-form affine oracle requires a single Gaussian")
     v = float(target.variances[0])
 
-    def fn(x, t):
+    def affine(t):
         m = float(_noised_params(target, 1.0, 0.0)[0][0])
-        a, slope = _gaussian_slope(v, schedule, t)
-        return m + slope * (x - a * m)
+        a = float(schedule.alpha(t))
+        slope = math.sqrt(v / (a * a * v + float(schedule.sigma2(t))))
+        return slope, m * (1.0 - a * slope)
 
-    return ConsistencyFn(fn)
+    def fn(x, t):
+        slope, intercept = affine(t)
+        return slope * x + intercept
 
+    def law(mixture, t):
+        means, variances, weights = mixture
+        slope, intercept = affine(t)
+        return slope * means + intercept, slope * slope * variances, weights
 
-def gaussian_affine_map(
-    target: GaussianMixtureTarget, schedule: NoiseSchedule, t: float
-) -> tuple[float, float]:
-    """Slope and intercept of the exact single-Gaussian oracle at time ``t``."""
-    if target.n_components != 1:
-        raise NumericError("affine map requires a single 1-D Gaussian")
-    m = float(_noised_params(target, 1.0, 0.0)[0][0])
-    a, slope = _gaussian_slope(float(target.variances[0]), schedule, t)
-    return slope, m * (1.0 - a * slope)
+    return ConsistencyFn(fn, law=law)
 
 
 def _pf_ode_field(target, lams: np.ndarray) -> Callable:

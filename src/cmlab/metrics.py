@@ -153,11 +153,13 @@ class GridIntegral:
 
 
 def _on_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int):
-    """Both densities on an odd Simpson grid over ``[lo, hi]``, the grid's
-    integral, and the mass each density leaves off the grid, which must not
-    exceed 1e-3 on either side."""
+    """Both densities on an odd Simpson grid over a finite ``[lo, hi]``,
+    the grid's integral, and the mass each density leaves off the grid,
+    which must not exceed 1e-3 on either side (a NaN mass fails too)."""
     from scipy.integrate import simpson  # on use: it loads scipy.optimize and linalg
 
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericError(f"integration range [{lo}, {hi}] must be finite")
     if not hi > lo:
         raise NumericError(f"empty integration range [{lo}, {hi}]")
     if n_grid < 1000:
@@ -174,7 +176,7 @@ def _on_grid(pdf_a, pdf_b, lo: float, hi: float, n_grid: int):
     truncation = []
     for name, p in (("a", pa), ("b", pb)):
         mass = 1.0 - integrate(p)
-        if abs(mass) > _TRUNCATION_LIMIT:
+        if not abs(mass) <= _TRUNCATION_LIMIT:  # NaN included
             raise NumericError(
                 f"density {name} leaves {mass:.3e} mass outside the grid "
                 f"(limit {_TRUNCATION_LIMIT}); widen [lo, hi]"

@@ -24,10 +24,10 @@ Three designers produce the schedules used by the experiments:
 * ``design_uniform`` — evenly spaced times.
 
 Designed times are rounded to the nearest training-partition point with
-ties rounding up.  ``threshold_stage_laws`` and ``affine_stage_laws``
-compute the sampler's per-stage distributions in closed form for
-threshold-form and affine estimators, which is what lets the experiments
-compare empirical distances against analytic ones.
+ties rounding up.  ``stage_laws`` computes the sampler's per-stage laws in
+closed form for an estimator that carries its ``law`` (the threshold and
+affine oracles), which is what lets the experiments compare empirical
+distances against analytic ones.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ._rng import N_CHUNKS, chunk_rngs, chunk_sizes
 from .consistency_oracle import ConsistencyFn
 from .errors import NumericError
 from .noise_schedule import NoiseSchedule
-from .target_dist import DiscreteTarget, MarginalView, marginal_cdf_1d
 
 __all__ = [
     "SamplingTimeSchedule",
@@ -51,8 +50,7 @@ __all__ = [
     "design_halving_ve",
     "design_uniform",
     "sigma_eps_optimal",
-    "threshold_stage_laws",
-    "affine_stage_laws",
+    "stage_laws",
 ]
 
 
@@ -283,60 +281,25 @@ def sigma_eps_optimal(tau_n: float, eps: float, delta: float, d: int, smoothness
     return math.sqrt(tau_n * eps / (4.0 * d * smoothness * delta))
 
 
-def threshold_stage_laws(
-    target: DiscreteTarget,
-    schedule: NoiseSchedule,
-    taus: SamplingTimeSchedule,
-    boundary,
-) -> list[MarginalView]:
-    """Exact per-stage noisy laws of the sampler for a threshold estimator.
+def stage_laws(schedule: NoiseSchedule, taus: SamplingTimeSchedule, fhat: ConsistencyFn):
+    """Exact per-stage laws of the sampler for an estimator with a ``law``.
 
-    For a two-atom target and an estimator of the form
-    ``x < a_t -> mu0 else mu1`` every stage law is a two-component Gaussian
-    mixture whose weights follow the recursion
-
-        r_i = P_{stage i}(x < a_{tau_i}),   stage i+1 ~ (r_i, 1 - r_i) noised,
-
-    starting from the pure-noise stage law N(0, sigma2(tau_1)).  Returned as
-    one MarginalView per stage (the stage-1 view is a noised atom at the
-    origin, which is exactly N(0, sigma2(tau_1))).
+    Starting from a point mass at 0, each stage noises the current law to
+    ``tau_i`` (means ``alpha x``, variances ``alpha**2 v + sigma2``), which
+    is the law of the stage's noisy points, and maps it by ``fhat.law``,
+    which is the law of the stage's output.  Returns the two lists of
+    ``(means, variances, weights)`` triples, one entry per stage:
+    ``outputs[-1]`` is the sampler's output law, and ``outputs[i - 1]`` is
+    bitwise that of ``taus.truncated(i)``.
     """
-    if target.dim != 1 or target.n_components != 2:
-        raise NumericError("stage laws require a two-atom 1-D target")
-    lo, hi = sorted(float(v) for v in target.locations[:, 0])
-    views = [
-        MarginalView(DiscreteTarget([[0.0]], [1.0]), schedule, taus.taus[0])
-    ]
-    for t, t_next in zip(taus.taus, taus.taus[1:]):
-        r = float(marginal_cdf_1d(views[-1], boundary(t)))
-        r = min(max(r, 1e-15), 1 - 1e-15)
-        law = DiscreteTarget([[lo], [hi]], [r, 1.0 - r])
-        views.append(MarginalView(law, schedule, t_next))
-    return views
-
-
-def affine_stage_laws(
-    schedule: NoiseSchedule,
-    taus: SamplingTimeSchedule,
-    affine_of_t,
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Exact Gaussian stage laws of the sampler for an affine estimator.
-
-    ``affine_of_t(t) -> (slope, intercept)`` describes the estimator
-    ``fhat(x, t) = slope * x + intercept`` (1-D).  Returns the
-    ``(mean, variance)`` of the noisy law at each stage and of each stage's
-    denoised output; ``outputs[-1]`` is the sampler's output law, and
-    ``outputs[i - 1]`` is bitwise that of ``taus.truncated(i)``.
-    """
-    ts = taus.taus
-    mean, var = 0.0, float(schedule.sigma2(ts[0]))
-    stages, outputs = [], []
-    for i, t in enumerate(ts):
-        if i:
-            a = float(schedule.alpha(t))
-            mean, var = a * mean, a * a * var + float(schedule.sigma2(t))
-        stages.append((mean, var))
-        slope, intercept = affine_of_t(t)
-        mean, var = slope * mean + intercept, slope * slope * var
-        outputs.append((mean, var))
-    return stages, outputs
+    if fhat.law is None:
+        raise NumericError("stage laws need an estimator with a closed-form law")
+    law = np.zeros(1), np.zeros(1), np.ones(1)
+    noisy, outputs = [], []
+    for t in taus.taus:
+        a = float(schedule.alpha(t))
+        means, variances, weights = law
+        noisy.append((a * means, a * a * variances + float(schedule.sigma2(t)), weights))
+        law = fhat.law(noisy[-1], t)
+        outputs.append(law)
+    return noisy, outputs

@@ -267,12 +267,7 @@ def _mixture_score(pts: np.ndarray, mixture, scale: float = 1.0):
     resp /= s
     resp /= (variances / scale)[:, None]
     pull *= resp
-    # Sum the components in a fixed order with elementwise adds, so a
-    # point's result does not depend on how many points share the call.
-    out = np.zeros(pull.shape[1])
-    for term in pull:
-        out += term
-    return out, m, s
+    return _sum_leading(pull), m, s
 
 
 def marginal_logpdf(view: MarginalView, x):

@@ -30,7 +30,6 @@ from cmlab import (
     evaluation_error,
     exact_single_gaussian,
     exact_two_point,
-    gaussian_affine_map,
     geometry,
     kl_bound,
     kl_grid,
@@ -38,14 +37,13 @@ from cmlab import (
     make_ve,
     marginal_pdf,
     marginal_quantile_1d,
-    affine_stage_laws,
     multistep_sample,
     pf_ode_consistency,
     quantile_perturbed,
     sample_marginal,
     sde_contraction_bound,
     sigma_eps_optimal,
-    threshold_stage_laws,
+    stage_laws,
     tv_bound,
     tv_grid,
     two_step_ou_leading_terms,
@@ -239,11 +237,13 @@ def test_c7_stage_laws_respect_kl_bound():
     ]
     worst_ratio = 0.0
     for taus in schedules:
-        views = threshold_stage_laws(TWO_ATOM, OU, taus, fhat.boundary)
+        laws, _ = stage_laws(OU, taus, fhat)
         inputs = BoundInputs(
             OU, taus, 1.0, second_moment=geo.second_moment
         )
-        for i, q_view in enumerate(views, start=1):
+        for i, q_law in enumerate(laws, start=1):
+            # the noisy law of stage i, as the view of a mixture at t = 0
+            q_view = MarginalView(GaussianMixtureTarget(q_law[0][:, None], *q_law[1:]), OU, 0.0)
             p_view = MarginalView(TWO_ATOM, OU, taus.taus[i - 1])
             means_q, var_q, _ = q_view.mixture_params()
             means_p, var_p, _ = p_view.mixture_params()
@@ -339,7 +339,11 @@ def test_c9_tv_bound_for_smoothed_gaussian_run():
     def fhat_fn(x, t):
         return (1.0 + 0.01 * t) * f(x, t)
 
-    fhat = ConsistencyFn(fhat_fn)
+    def fhat_law(mixture, t):
+        means, variances, weights = f.law(mixture, t)
+        return (1.0 + 0.01 * t) * means, (1.0 + 0.01 * t) ** 2 * variances, weights
+
+    fhat = ConsistencyFn(fhat_fn, law=fhat_law)
     taus = SamplingTimeSchedule((10.0, 2.0))
     rate = measure_eps_over_delta(
         fhat, target, OU, taus, np.random.SeedSequence([9, 0xC9])
@@ -347,11 +351,7 @@ def test_c9_tv_bound_for_smoothed_gaussian_run():
     geo = geometry(target)
     sigma_eps = sigma_eps_optimal(taus.taus[-1], rate, 1.0, 1, geo.log_smoothness)
 
-    def affine(t):
-        slope, intercept = gaussian_affine_map(target, OU, t)
-        return (1.0 + 0.01 * t) * slope, (1.0 + 0.01 * t) * intercept
-
-    mean, var = affine_stage_laws(OU, taus, affine)[1][-1]
+    (mean,), (var,), _ = stage_laws(OU, taus, fhat)[1][-1]
     var_s = var + sigma_eps**2
 
     tv = tv_grid(

@@ -242,6 +242,179 @@ def test_tv_preconditions_are_shared_by_both_commands(tmp_path, capsys, edit, me
         assert capsys.readouterr().err == f"numeric error: {message}\n"
 
 
+_PERTURBED = {"estimator": "quantile_perturbed"}
+_GMM3 = {"type": "gmm", "L": 1.0,
+         "components": [[-4.0, 0.5, 0.3], [0.0, 1.0, 0.5], [3.0, 0.25, 0.2]]}
+
+# (an edit of the base config, the error it must give).  A string edit is the
+# whole file's text and None writes no file; ``{path}`` is the config's path.
+_CONFIG_ERRORS = {
+    "config_not_object": ("[]", "config: expected an object, got list"),
+    "invalid_json": (
+        "{",
+        "config: invalid JSON in {path}: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)"),
+    "unreadable": (
+        None,
+        "config: cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "target_not_object": (
+        lambda c: c.update(target=[]),
+        "target: expected an object, got list"),
+    "sampling_not_object": (
+        lambda c: c.update(sampling=3),
+        "sampling: expected an object, got int"),
+    "estimator_not_object": (
+        lambda c: c.update(estimator="exact"),
+        "estimator: expected an object, got str"),
+    "metrics_not_object": (
+        lambda c: c.update(metrics=True),
+        "metrics: expected an object, got bool"),
+    "bounds_not_object": (
+        lambda c: c.update(bounds=[]),
+        "bounds: expected an object, got list"),
+    "missing_target": (lambda c: c.pop("target"), "target: required field is missing"),
+    "missing_sampling": (
+        lambda c: c.pop("sampling"),
+        "sampling: required field is missing"),
+    "missing_R": (
+        lambda c: c.update(sampling={"schedule_design": "two_step_ou", "eps": 1.0}),
+        "sampling.R: required field is missing"),
+    "missing_T": (
+        lambda c: c.update(sampling={"schedule_design": "halving_ve"}),
+        "sampling.T: required field is missing"),
+    "missing_N": (
+        lambda c: c.update(sampling={"schedule_design": "uniform", "T": 4.0}),
+        "sampling.N: required field is missing"),
+    "no_atoms": (
+        lambda c: c.update(target={"type": "discrete", "atoms": []}),
+        "target.atoms: expected a nonempty list of [x, w] pairs"),
+    "malformed_atom": (
+        lambda c: c.update(target=dict(_ATOMS, atoms=[[0.0, 0.5], [1.0]])),
+        "target.atoms[1]: expected [location, weight]"),
+    "coincident_atoms": (
+        lambda c: c.update(target=dict(_ATOMS, atoms=[[1.0, 0.5], [1.0, 0.5]])),
+        "target: atoms 0 and 1 coincide"),
+    "atom_weights": (
+        lambda c: c.update(target=dict(_ATOMS, atoms=[[0.0, 0.5], [1.0, 0.6]])),
+        "target: weights must sum to 1, got 1.1"),
+    "no_components": (
+        lambda c: c["target"].update(components=[]),
+        "target.components: expected a nonempty list of [mean, variance, weight] "
+        "triples"),
+    "malformed_component": (
+        lambda c: c["target"].update(components=[[0.0, 1.0]]),
+        "target.components[0]: expected [mean, variance, weight]"),
+    "zero_variance": (
+        lambda c: c["target"].update(components=[[0.0, 0.0, 1.0]]),
+        "target: variances must be positive"),
+    "bad_L": (
+        lambda c: c["target"].update(L="1"),
+        "target.L: expected a number, got '1'"),
+    "unknown_target": (
+        lambda c: c["target"].update(type="banana"),
+        "target.type: expected 'discrete' or 'gmm', got 'banana'"),
+    "unknown_schedule": (
+        lambda c: c.update(schedule="vp"),
+        "schedule: expected 'ou', 've', or {'csv': path}, got 'vp'"),
+    "missing_schedule_csv": (
+        lambda c: c.update(schedule={"csv": "no_such.csv"}),
+        "schedule.csv: [Errno 2] No such file or directory: 'no_such.csv'"),
+    "unknown_estimator": (
+        lambda c: c.update(estimator={"estimator": "magic"}),
+        "estimator.estimator: expected 'exact', 'pfode', or 'quantile_perturbed', "
+        "got 'magic'"),
+    "exact_on_mixture": (
+        lambda c: c.update(target=_GMM3),
+        "estimator: closed-form affine oracle requires a single Gaussian"),
+    "perturbed_on_gaussian": (
+        lambda c: c.update(estimator=_PERTURBED),
+        "estimator: this oracle requires an atomic target"),
+    "kappa_not_number": (
+        lambda c: c.update(target=_ATOMS, estimator=dict(_PERTURBED, kappa="big")),
+        "estimator.kappa: expected a number, got 'big'"),
+    "kappa_zero": (
+        lambda c: c.update(target=_ATOMS, estimator=dict(_PERTURBED, kappa=0.0)),
+        "estimator: kappa must be > 0, got 0.0"),
+    "ode_step_zero": (
+        lambda c: c.update(estimator={"estimator": "pfode", "ode_step": 0}),
+        "estimator: step must be finite and > 0, got 0.0"),
+    "unknown_design": (
+        lambda c: c["sampling"].update(schedule_design="magic"),
+        "sampling.schedule_design: expected 'two_step_ou', 'halving_ve', 'uniform', "
+        "or 'explicit', got 'magic'"),
+    "empty_taus": (
+        lambda c: c["sampling"].update(taus=[]),
+        "sampling.taus: expected a nonempty list of times"),
+    "increasing_taus": (
+        lambda c: c["sampling"].update(taus=[1.0, 2.0]),
+        "sampling: sampling times must be strictly decreasing, got (1.0, 2.0)"),
+    "negative_tau": (
+        lambda c: c["sampling"].update(taus=[1.0, -1.0]),
+        "sampling: sampling times must be positive, got (1.0, -1.0)"),
+    "two_step_regime": (
+        lambda c: c.update(sampling=dict(_DESIGNS["two_step_ou"], R=1.0, eps=2.0)),
+        "sampling: invalid regime: eps/delta = 2.0 must be < radius = 1.0"),
+    "N_not_integer": (
+        lambda c: c.update(sampling=dict(_DESIGNS["uniform"], N=2.5)),
+        "sampling.N: expected an integer, got 2.5"),
+    "delta_not_number": (
+        lambda c: c.update(delta="1"),
+        "config.delta: expected a number, got '1'"),
+    "delta_zero": (lambda c: c.update(delta=0), "delta: must be positive, got 0.0"),
+    "n_not_integer": (
+        lambda c: c["sampling"].update(n=1.5),
+        "sampling.n: expected an integer, got 1.5"),
+    "n_zero": (lambda c: c["sampling"].update(n=0), "sampling.n: must be >= 1, got 0"),
+    "seed_not_integer": (
+        lambda c: c["sampling"].update(seed="1"),
+        "sampling.seed: expected an integer, got '1'"),
+    "smoothing_not_number": (
+        lambda c: c["sampling"].update(smoothing_sigma=True),
+        "sampling.smoothing_sigma: expected null, 'optimal', or a number"),
+    "smoothing_zero": (
+        lambda c: c["sampling"].update(smoothing_sigma=0.0),
+        "sampling.smoothing_sigma: must be positive"),
+    "eps_over_delta_not_number": (
+        lambda c: c.update(eps_over_delta="0.01"),
+        "eps_over_delta: expected a number or 'measured'"),
+    "eps_over_delta_negative": (
+        lambda c: c.update(eps_over_delta=-0.01),
+        "eps_over_delta: must be nonnegative"),
+    "tv_not_bool": (
+        lambda c: c.update(metrics={"tv": 1}),
+        "metrics.tv: expected true/false"),
+    "tail_c_not_number": (
+        lambda c: c["bounds"].update(tail_c="10"),
+        "bounds.tail_c: expected a number, got '10'"),
+    "empty_label": (lambda c: c.update(label=""), "label: expected a nonempty string"),
+    "empty_out": (lambda c: c.update(out=""), "out: expected a file path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_every_config_error_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # a relative schedule CSV is looked up here
+    edit, message = _CONFIG_ERRORS[case]
+    cfg = tmp_path / "bad.json"
+    if isinstance(edit, str):
+        cfg.write_text(edit)
+    elif edit is not None:
+        config = _base_config(tmp_path)
+        edit(config)
+        cfg.write_text(json.dumps(config))
+    want = message.replace("{path}", str(cfg))
+    for command in ("experiment", "bounds"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_reproduce_sim_rejects_zero_samples(tmp_path, capsys):
+    assert main(["reproduce-sim", "--n", "0", "--out", str(tmp_path / "z.csv")]) == 2
+    assert capsys.readouterr().err == "config error: n: must be >= 1, got 0\n"
+    assert not (tmp_path / "z.csv").exists()
+
+
 def test_every_documented_key_loads(tmp_path):
     for design in _DESIGNS.values():
         config = _base_config(tmp_path)
@@ -385,6 +558,25 @@ def test_overflowing_smoothing_exits_3_before_sampling(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numeric error: sampling.smoothing_sigma: 1e+200 squared overflows\n"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_tv_without_an_exact_law_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*_args, **_kwargs):
+        raise AssertionError("sampled with no TV to report")
+
+    monkeypatch.setattr(cli, "multistep_sample", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads((CONFIG_DIR / "gaussian_tv.json").read_text())
+    cfg["estimator"] = {"estimator": "pfode", "ode_step": 0.05}
+    (tmp_path / "pfode.json").write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", "pfode.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: metrics.tv: analytic TV is only available for a single-Gaussian "
+        "1-D target with the exact estimator (no density estimation is done)\n"
+    )
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -620,3 +812,42 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.glob("*.csv"))}
     assert got == _CSV_DIGESTS
+
+
+# SHA-256 of the stdout of the same runs, and of `bounds` on the two shipped
+# configs it takes: the printed tables, the `(+-proxy)` column and the
+# measured rate.  Every output is written under a relative name, so the
+# `wrote` lines do not depend on where the test runs.
+_STDOUT_DIGESTS = {
+    "reproduce-sim reproduce_sim":
+        "45d42f22cd8bcd81a1216340ebafbe791e86c6e68d61bfede17d7a7b7c96bd9d",
+    "experiment bernoulli_ve_halving":
+        "2aa4339f5cd9c43a41b4edfa7263322fb2cf1b9eb9e8fa113993da8187dd4c73",
+    "experiment gaussian_tv":
+        "a6b75bfc29ccef258aed543245263c7d3d55affa6c76812753267a0206f73dad",
+    "experiment two_step_bounds":
+        "7baa82144aef41bf8bd12fa0de3debc84d3a1559f7dee5dd400a1b3e8d0de21f",
+    "experiment pfode_gmm":
+        "626e37e6b8016585dedc80560c7dbc581fafa85b9adfc24cf71888344b7c67e6",
+    "bounds gaussian_tv":
+        "9a71306649ba259d6c4e787e46e97afd4a661d57392aa58f0c75894eb18c550b",
+    "bounds two_step_bounds":
+        "06bc02f0f33e1d59fc8e6dfc4203bd554bf3b6f14c7bb69b046cb90aa62cc5c0",
+}
+
+
+def test_stdout_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pfode_gmm.json").write_text(json.dumps(_PFODE_GMM))
+    runs = [["reproduce-sim", "--n", "20000", "--out", "reproduce_sim.csv"]]
+    runs += [["experiment", "--config", str(path)]
+             for path in sorted(CONFIG_DIR.glob("*.json"))]
+    runs.append(["experiment", "--config", "pfode_gmm.json"])
+    runs += [["bounds", "--config", str(CONFIG_DIR / name)]
+             for name in ("gaussian_tv.json", "two_step_bounds.json")]
+    got = {}
+    for argv in runs:
+        assert main(argv) == 0
+        got[f"{argv[0]} {Path(argv[-1]).stem}"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == _STDOUT_DIGESTS

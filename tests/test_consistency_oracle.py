@@ -17,7 +17,6 @@ from cmlab import (
     evaluation_error,
     exact_single_gaussian,
     exact_two_point,
-    gaussian_affine_map,
     make_ou,
     make_ve,
     marginal_quantile_1d,
@@ -57,7 +56,9 @@ def test_exact_two_point_values():
     assert float(f(np.array([30.0]), 1.0)[0]) == 100.0
     assert float(f(np.array([10.0]), 1.0)[0]) == 0.0
     assert float(f(np.array([77.0]), 0.0)[0]) == 77.0
-    assert f.boundary(1.0) == pytest.approx(50.0 * math.exp(-1.0), rel=1e-15)
+    a = 50.0 * float(OU.alpha(1.0))  # the boundary
+    assert a == pytest.approx(50.0 * math.exp(-1.0), rel=1e-15)
+    np.testing.assert_array_equal(f(np.array([np.nextafter(a, 0.0), a]), 1.0), [0.0, 100.0])
 
 
 @pytest.mark.parametrize(
@@ -66,7 +67,10 @@ def test_exact_two_point_values():
 @pytest.mark.parametrize("t", [0.5, 9.0])
 def test_threshold_gather_matches_where(make, t):
     f = make(TWO_ATOM, OU)
-    a = f.boundary(t)
+    if make is exact_two_point:
+        a = 50.0 * float(OU.alpha(t))
+    else:
+        a = marginal_quantile_1d(MarginalView(TWO_ATOM, OU, t), 0.5 + 1e-4 * t * t)
     x = np.array(
         [-math.inf, math.inf, math.nan, a, np.nextafter(a, -math.inf),
          np.nextafter(a, math.inf), -a, 0.0, -0.0, 100.0]
@@ -151,12 +155,15 @@ def test_exact_single_gaussian_is_identity_for_stationary_law():
 
 def test_gaussian_affine_map_values():
     target = GaussianMixtureTarget([[2.0]], [0.25], [1.0])
-    slope, intercept = gaussian_affine_map(target, OU, 1.0)
+    f = exact_single_gaussian(target, OU)
+    # the law of a point mass at 0 is one at the intercept, and a unit
+    # variance comes out as slope**2
+    means, variances, _ = f.law((np.zeros(2), np.array([0.0, 1.0]), np.full(2, 0.5)), 1.0)
+    intercept, slope = float(means[0]), math.sqrt(float(variances[1]))
     a = math.exp(-1.0)
     big_v = a * a * 0.25 + (1.0 - math.exp(-2.0))
     assert slope == pytest.approx(math.sqrt(0.25 / big_v), rel=1e-14)
     assert intercept == pytest.approx(2.0 * (1.0 - a * slope), rel=1e-14)
-    f = exact_single_gaussian(target, OU)
     x = np.array([[0.7]])
     assert float(f(x, 1.0)[0, 0]) == pytest.approx(slope * 0.7 + intercept, rel=1e-12)
 
@@ -165,8 +172,12 @@ def test_single_gaussian_oracle_rejects_mixtures():
     mix = GaussianMixtureTarget([[0.0], [5.0]], [1.0, 1.0], [0.5, 0.5])
     with pytest.raises(NumericError):
         exact_single_gaussian(mix, OU)
+    # a 2-D Gaussian builds (the bounds read it), but its map and law raise
+    f = exact_single_gaussian(GaussianMixtureTarget([[0.0, 1.0]], [1.0], [1.0]), OU)
     with pytest.raises(NumericError):
-        gaussian_affine_map(mix, OU, 1.0)
+        f(np.zeros(3), 1.0)
+    with pytest.raises(NumericError):
+        f.law((np.zeros(1), np.ones(1), np.ones(1)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +195,7 @@ def test_pf_ode_matches_affine_oracle():
     f = pf_ode_consistency(target, OU)
     x = np.array([[-2.0], [-0.5], [0.4], [1.0], [3.0]])
     got = f(x, 1.0)
-    slope, _ = gaussian_affine_map(target, OU, 1.0)
+    slope = float(exact_single_gaussian(target, OU)(1.0, 1.0))  # the intercept is 0
     assert slope == pytest.approx(0.5274864609725978, rel=1e-12)
     np.testing.assert_allclose(got, slope * x, rtol=1e-3)
     assert float(np.max(np.abs(got - slope * x))) < 1e-3
@@ -616,16 +627,28 @@ def test_pf_ode_maps_far_and_separatrix_points_to_threshold_atoms(t):
 # perturbed estimator
 
 
-def test_quantile_perturbed_boundary():
+def test_quantile_perturbed_boundary(monkeypatch):
+    solves = []
+    solve = consistency_oracle.marginal_quantile_1d
+
+    def counted(view, u):
+        solves.append(u)
+        return solve(view, u)
+
+    monkeypatch.setattr(consistency_oracle, "marginal_quantile_1d", counted)
     fhat = quantile_perturbed(TWO_ATOM, OU, kappa=1e-4)
     exact_boundary = 50.0 * math.exp(-2.0)
-    a_t = fhat.boundary(2.0)
+    view = MarginalView(TWO_ATOM, OU, 2.0)
+    a_t = solve(view, 0.5 + 1e-4 * 2.0 * 2.0)
     assert a_t > exact_boundary  # shifted toward the upper atom
-    assert fhat.boundary(2.0) == a_t  # cache returns the identical value
+    x = np.array([np.nextafter(a_t, 0.0), a_t])
+    for _ in range(2):
+        np.testing.assert_array_equal(fhat(x, 2.0), [0.0, 100.0])
+    fhat.law(view.mixture_params(), 2.0)
+    assert len(solves) == 1  # one solve per time, however often it is read
     # boundary is the stated quantile of the true marginal
     from cmlab import marginal_cdf_1d
 
-    view = MarginalView(TWO_ATOM, OU, 2.0)
     assert float(marginal_cdf_1d(view, a_t)) == pytest.approx(
         0.5 + 1e-4 * 4.0, abs=1e-9
     )

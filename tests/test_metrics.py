@@ -22,9 +22,8 @@ from cmlab import (
 )
 import cmlab.cli as cli
 from cmlab._config import load_experiment_config
-from cmlab.consistency_oracle import gaussian_affine_map
 from cmlab.metrics import _coupling_w2, _gaussian_tv, coupling_quantiles
-from cmlab.sampler import affine_stage_laws
+from cmlab.sampler import stage_laws
 from cmlab.target_dist import target_quantiles_1d
 
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -338,6 +337,19 @@ def test_grid_prologue_errors_on_each_side(grid):
     assert abs(got.truncation_a) < 1e-8 and abs(got.truncation_b) < 1e-8
 
 
+@pytest.mark.parametrize("grid", [tv_grid, kl_grid], ids=["tv", "kl"])
+def test_grid_refuses_infinite_ranges_and_nan_masses(grid):
+    pdf = gauss_pdf(0, 1)
+    with pytest.raises(NumericError, match=r"integration range \[-inf, inf\] must be finite"):
+        grid(pdf, pdf, -math.inf, math.inf)
+
+    def nan_above_zero(x):
+        return np.where(x > 0, math.nan, pdf(x))
+
+    with pytest.raises(NumericError, match="density b leaves nan mass"):
+        grid(pdf, nan_above_zero, -10, 10)
+
+
 def test_kl_support_violation():
     with pytest.raises(NumericError, match="support"):
         kl_grid(gauss_pdf(0, 1), gauss_pdf(300, 0.01), -12, 312, n_grid=200001)
@@ -413,6 +425,12 @@ def test_gaussian_tv_rejects_bad_laws(law):
         _gaussian_tv(*law)
 
 
+def test_gaussian_tv_rejects_overflowing_laws():
+    # finite laws whose crossing points overflow
+    with pytest.raises(NumericError, match="Gaussian TV overflows"):
+        _gaussian_tv(0.0, 1.0, 1e155, 1.5)
+
+
 def gauss_tv_bench_config(tmp_path, seed=5):
     """The benchmark's ``gauss_tv`` job config: the shipped TV config with the
     target drawn from ``default_rng([seed, 1])`` and four stages."""
@@ -430,10 +448,10 @@ def smoothed_stage_laws(path):
     beside the target law."""
     cfg = load_experiment_config(str(path))
     sigma_eps, tvs = cli._analytic_tv_info(cfg, float(cfg.eps_over_delta))
-    _, outputs = affine_stage_laws(
-        cfg.schedule, cfg.taus, lambda t: gaussian_affine_map(cfg.target, cfg.schedule, t))
+    _, outputs = stage_laws(cfg.schedule, cfg.taus, cfg.estimator)
     target = (float(cfg.target.means[0, 0]), float(cfg.target.variances[0]))
-    return tvs, [((m, v + sigma_eps * sigma_eps), target) for m, v in outputs]
+    return tvs, [((float(m), float(v) + sigma_eps * sigma_eps), target)
+                 for (m,), (v,), _ in outputs]
 
 
 @pytest.mark.parametrize("config, stages", [("gaussian_tv.json", 2), (None, 4)],

@@ -14,24 +14,22 @@ from cmlab import (
     GaussianMixtureTarget,
     NumericError,
     SamplingTimeSchedule,
-    affine_stage_laws,
     design_halving_ve,
     design_two_step_ou,
     design_uniform,
     exact_single_gaussian,
     exact_two_point,
-    gaussian_affine_map,
     make_ou,
     make_ve,
-    marginal_cdf_1d,
     multistep_sample,
     pf_ode_consistency,
     quantile_perturbed,
     sigma_eps_optimal,
-    threshold_stage_laws,
+    stage_laws,
 )
 from cmlab import sampler
 from cmlab._rng import N_CHUNKS, chunk_rngs, chunk_sizes
+from cmlab.consistency_oracle import _threshold_oracle
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -351,14 +349,12 @@ def test_sigma_eps_optimal():
 def test_threshold_stage_laws_match_sampler():
     f = exact_two_point(TWO_ATOM, OU)
     taus = SamplingTimeSchedule((14.0, 9.0))
-    views = threshold_stage_laws(TWO_ATOM, OU, taus, f.boundary)
-    weights = [
-        float(marginal_cdf_1d(view, f.boundary(t))) for view, t in zip(views, taus.taus)
-    ]
+    views, outputs = stage_laws(OU, taus, f)
+    weights = [float(w[0]) for _, _, w in outputs]
     assert len(views) == 2 and len(weights) == 2
 
     # stage 1 is pure noise
-    means, variances, w = views[0].mixture_params()
+    means, variances, w = views[0]
     assert means.shape == (1,) and float(means[0]) == 0.0
     assert float(variances[0]) == pytest.approx(-math.expm1(-28.0), rel=1e-12)
 
@@ -373,9 +369,20 @@ def test_threshold_stage_laws_match_sampler():
 def test_threshold_stage_laws_need_two_atoms():
     taus = SamplingTimeSchedule((5.0,))
     with pytest.raises(NumericError):
-        threshold_stage_laws(
-            DiscreteTarget([0.0, 1.0, 2.0], [1 / 3] * 3), OU, taus, lambda t: 0.0
+        stage_laws(
+            OU, taus, pf_ode_consistency(DiscreteTarget([0.0, 1.0, 2.0], [1 / 3] * 3), OU)
         )
+
+
+def test_threshold_law_keeps_a_zero_weight():
+    # A boundary far below every noisy law puts all the mass on the upper
+    # atom, exactly, and the next stage noises that law as it is.
+    f = _threshold_oracle(0.0, 100.0, lambda t: -1e3)
+    noisy, outputs = stage_laws(OU, SamplingTimeSchedule((2.0, 1.0)), f)
+    for _, _, weights in outputs:
+        assert weights.tolist() == [0.0, 1.0]
+    assert noisy[1][2].tolist() == [0.0, 1.0]
+    assert noisy[1][0].tolist() == [0.0, 100.0 * float(OU.alpha(1.0))]
 
 
 def test_affine_stage_laws_exact_recursion():
@@ -383,9 +390,7 @@ def test_affine_stage_laws_exact_recursion():
     # the stage variances follow sigma2 composition exactly.
     target = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
     taus = SamplingTimeSchedule((10.0, 2.0))
-    stages, outputs = affine_stage_laws(
-        OU, taus, lambda t: gaussian_affine_map(target, OU, t)
-    )
+    stages, outputs = _mean_var(*stage_laws(OU, taus, exact_single_gaussian(target, OU)))
     out = outputs[-1]
     assert stages[0][0] == 0.0
     assert stages[0][1] == pytest.approx(-math.expm1(-20.0), rel=1e-12)
@@ -396,6 +401,11 @@ def test_affine_stage_laws_exact_recursion():
     x0 = multistep_sample(exact_single_gaussian(target, OU), OU, taus, 50_000, 2)
     v_emp = float(x0[-1].var())
     assert abs(v_emp - out[1]) < 4.0 * out[1] * math.sqrt(2.0 / 50_000)
+
+
+def _mean_var(*lists):
+    """Each list of one-component laws as ``(mean, variance)`` floats."""
+    return [[(float(m), float(v)) for (m,), (v,), _ in laws] for laws in lists]
 
 
 def _affine_stage_laws_reference(schedule, taus, affine_of_t):
@@ -420,14 +430,19 @@ def test_affine_stage_outputs_match_truncated_runs():
     # bitwise the output law of the schedule cut after stage i.
     target = GaussianMixtureTarget([[2.0]], [0.5], [1.0])
     taus = SamplingTimeSchedule((4.0, 2.0, 1.0, 0.5))
+    f = exact_single_gaussian(target, OU)
 
     def affine(t):
-        return gaussian_affine_map(target, OU, t)
+        # the closed form of the oracle: slope sqrt(v / V_t), intercept
+        # m (1 - alpha_t slope)
+        a = float(OU.alpha(t))
+        slope = math.sqrt(0.5 / (a * a * 0.5 + float(OU.sigma2(t))))
+        return slope, 2.0 * (1.0 - a * slope)
 
-    stages, outputs = affine_stage_laws(OU, taus, affine)
+    stages, outputs = _mean_var(*stage_laws(OU, taus, f))
     assert len(stages) == len(outputs) == taus.n_steps
     for i in range(1, taus.n_steps + 1):
-        assert outputs[i - 1] == affine_stage_laws(OU, taus.truncated(i), affine)[1][-1]
+        assert outputs[i - 1] == _mean_var(stage_laws(OU, taus.truncated(i), f)[1])[0][-1]
         old_stages, old_out = _affine_stage_laws_reference(OU, taus.truncated(i), affine)
         assert outputs[i - 1] == old_out
         assert stages[:i] == old_stages
