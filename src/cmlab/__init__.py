@@ -25,10 +25,9 @@ from .consistency_oracle import (
     ConsistencyFn,
     consistency_loss,
     evaluation_error,
-    exact_single_gaussian,
-    exact_two_point,
     pf_ode_consistency,
     pf_ode_transport,
+    quantile_map,
     quantile_perturbed,
 )
 from .errors import CmlabError, ConfigError, NumericError
@@ -101,8 +100,6 @@ __all__ = [
     "design_two_step_ou",
     "design_uniform",
     "evaluation_error",
-    "exact_single_gaussian",
-    "exact_two_point",
     "geometry",
     "kl_bound",
     "kl_grid",
@@ -117,6 +114,7 @@ __all__ = [
     "multistep_sample",
     "pf_ode_consistency",
     "pf_ode_transport",
+    "quantile_map",
     "quantile_perturbed",
     "sample_marginal",
     "score",

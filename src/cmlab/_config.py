@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 from .consistency_oracle import (
     ConsistencyFn,
-    exact_single_gaussian,
-    exact_two_point,
     pf_ode_consistency,
+    quantile_map,
     quantile_perturbed,
 )
 from .errors import ConfigError
@@ -147,7 +146,7 @@ def build_estimator(
         _check_keys(node, path, ("estimator", *_ESTIMATOR_FIELDS[kind]))
     try:
         if kind == "exact":
-            return exact_reference(target, schedule)
+            return quantile_map(target, schedule)
         if kind == "pfode":
             step = _get_number(node, "ode_step", path, default=1e-3)
             return pf_ode_consistency(target, schedule, step)
@@ -162,13 +161,6 @@ def build_estimator(
         f"{path}.estimator: expected 'exact', 'pfode', or 'quantile_perturbed', "
         f"got {kind!r}"
     )
-
-
-def exact_reference(target: Target, schedule: NoiseSchedule) -> ConsistencyFn:
-    """The exact oracle for targets that admit a closed form."""
-    if isinstance(target, DiscreteTarget):
-        return exact_two_point(target, schedule)
-    return exact_single_gaussian(target, schedule)
 
 
 # The fields each schedule design takes, besides the sampling settings that

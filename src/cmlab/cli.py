@@ -24,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import (
-    ExperimentConfig,
-    exact_reference,
-    load_experiment_config,
-)
+from ._config import ExperimentConfig, load_experiment_config
 from .bounds import (
     BoundInputs,
     kl_bound,
@@ -37,7 +33,7 @@ from .bounds import (
     w2_bound_modified,
     w2_bound_tail,
 )
-from .consistency_oracle import evaluation_error, quantile_perturbed
+from .consistency_oracle import evaluation_error, quantile_map, quantile_perturbed
 from .errors import CmlabError, ConfigError, NumericError
 from .metrics import (  # noqa: F401  (bench/spans.py wraps the W2 and TV names)
     _coupling_w2,
@@ -126,8 +122,9 @@ def measure_eps_over_delta(
     seed,
     n: int = 400_000,
 ) -> float:
-    """Evaluation-error rate ``sqrt(E|fhat - f|^2) / t`` at the largest tau."""
-    ref = exact_reference(target, schedule)
+    """Evaluation-error rate ``sqrt(E|fhat - f|^2) / t`` at the largest tau,
+    against the exact oracle :func:`~cmlab.consistency_oracle.quantile_map`."""
+    ref = quantile_map(target, schedule)
     t = taus.taus[0]
     est = evaluation_error(estimator, ref, MarginalView(target, schedule, t), n, seed)
     return math.sqrt(max(est.value, 0.0)) / t

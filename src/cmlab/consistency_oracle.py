@@ -1,13 +1,13 @@
-"""Consistency functions: exact oracles and controlled-error estimators.
+"""Consistency functions: the exact oracle and controlled-error estimators.
 
 A consistency function maps a point ``x`` on a reverse-time ODE trajectory
 at time ``t`` back to the trajectory's origin at time 0.  This module
 provides:
 
-* ``exact_two_point`` — the closed-form oracle for an equal-weight two-atom
-  target: the threshold rule ``f(x, t) = mu0 if x < midpoint * alpha_t else mu1``;
-* ``exact_single_gaussian`` — the closed-form affine oracle for a single
-  Gaussian target (the reverse ODE is linear there);
+* ``quantile_map`` — the exact consistency function of any 1-D target,
+  the monotone rearrangement ``f(x, t) = Q_0(F_t(x))``: a threshold for
+  two atoms, an affine map for one Gaussian, and otherwise solved point
+  by point;
 * ``pf_ode_consistency`` — a numerically integrated oracle running the
   probability-flow ODE in denoiser form, ``dy/dlam = (y - D(y, lam)) / lam``
   in ``y = x / alpha`` against ``lam = sigma / alpha`` (the same equation
@@ -22,12 +22,11 @@ provides:
   evaluation error against a reference oracle.
 
 Points are scalars.  All consistency functions map each entry of an array
-on its own, return it unchanged at ``t = 0`` (bit-exactly) and clamp it to
-``[-output_radius, output_radius]``.  The two closed-form oracles, and the
-threshold-form ``quantile_perturbed``, also carry ``law``: the exact law of
-their output when the input is drawn from a 1-D Gaussian mixture, from
-which :func:`~cmlab.sampler.stage_laws` builds every stage law of the
-sampler.
+on its own and return it unchanged at ``t = 0`` (bit-exactly).  The
+threshold and affine cases of ``quantile_map``, and the threshold-form
+``quantile_perturbed``, also carry ``law``: the exact law of their output
+when the input is drawn from a 1-D Gaussian mixture, from which
+:func:`~cmlab.sampler.stage_laws` builds every stage law of the sampler.
 """
 
 from __future__ import annotations
@@ -49,16 +48,15 @@ from .target_dist import (
     _mixture_cdf_1d,
     _mixture_score,
     _noised_params,
+    _rearrange_1d,
     _sample_mixture,
-    geometry,
     marginal_quantile_1d,
     marginal_score_path,
 )
 
 __all__ = [
     "ConsistencyFn",
-    "exact_two_point",
-    "exact_single_gaussian",
+    "quantile_map",
     "pf_ode_consistency",
     "pf_ode_transport",
     "quantile_perturbed",
@@ -85,14 +83,13 @@ def _check_step(step) -> float:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ConsistencyFn:
-    """An evaluable map ``(x, t) -> x0`` on each entry of ``x``, with
-    outputs clamped to ``[-output_radius, output_radius]``.
+    """An evaluable map ``(x, t) -> x0`` on each entry of ``x``.
 
     ``fn`` receives the ``n`` entries of ``x`` as an ``(n,)`` array and a
     strictly positive time, and returns ``(n,)`` outputs, which take the
     shape of ``x`` (any other output raises :class:`NumericError`).  The
-    identity at ``t = 0`` and the clamp (none by default) are applied
-    here, so any ``(x, t) -> x0`` map can be wrapped directly.
+    identity at ``t = 0`` is applied here, so any ``(x, t) -> x0`` map can
+    be wrapped directly.
 
     ``law``, when set, maps a 1-D mixture ``(means, variances, weights)``,
     as :meth:`~cmlab.target_dist.MarginalView.mixture_params` returns it,
@@ -102,12 +99,7 @@ class ConsistencyFn:
     """
 
     fn: Callable
-    output_radius: float = math.inf
     law: Callable | None = None
-
-    def __post_init__(self):
-        if self.output_radius < 0:
-            raise ValueError("output_radius must be nonnegative")
 
     def __call__(self, x, t: float) -> np.ndarray:
         x, t = np.asarray(x, dtype=float), float(t)
@@ -119,22 +111,7 @@ class ConsistencyFn:
                 f"consistency function returned shape {out.shape} for {x.size} "
                 f"points at t = {t}"
             )
-        return _clamp_norms(out, self.output_radius).reshape(x.shape)
-
-
-def _clamp_norms(y: np.ndarray, radius: float) -> np.ndarray:
-    """Scale the entries of ``y`` whose magnitude exceeds ``radius`` back to
-    it, by ``radius / |y|``; ``y`` itself is returned when none is over."""
-    if not np.isfinite(radius):
-        return y
-    if y.size and y.max() <= radius and y.min() >= -radius:
-        return y  # every entry within the radius; NaN fails both tests
-    over = np.flatnonzero(np.abs(y) > radius)
-    if over.size == 0:
-        return y
-    y = y.copy()
-    y[over] *= radius / np.abs(y[over])
-    return y
+        return out.reshape(x.shape)
 
 
 def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
@@ -147,6 +124,19 @@ def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
         raise NumericError("this oracle requires equal atom weights")
     lo, hi = sorted(float(v) for v in target.locations[:, 0])
     return lo, hi
+
+
+def _quantile_boundary(target, schedule: NoiseSchedule, level: Callable) -> Callable:
+    """``boundary(t)``, the ``level(t)`` quantile of the time-``t`` marginal,
+    solved once per ``t``.  The solver is looked up in this module at call
+    time, so a wrapper of :func:`marginal_quantile_1d` here sees every
+    solve."""
+
+    @functools.cache
+    def boundary(t: float) -> float:
+        return marginal_quantile_1d(MarginalView(target, schedule, t), level(t))
+
+    return boundary
 
 
 def _threshold_oracle(lo: float, hi: float, boundary: Callable):
@@ -170,57 +160,55 @@ def _threshold_oracle(lo: float, hi: float, boundary: Callable):
     return ConsistencyFn(fn, law=law)
 
 
-def exact_two_point(target: DiscreteTarget, schedule: NoiseSchedule) -> ConsistencyFn:
-    """Exact consistency function for an equal-weight two-atom 1-D target.
+def quantile_map(target, schedule: NoiseSchedule) -> ConsistencyFn:
+    """The exact consistency function ``f(x, t) = Q_0(F_t(x))`` of a 1-D
+    target: the probability-flow ODE keeps points in order and pushes
+    ``p_t`` onto ``p_0``, so ``f`` is the monotone rearrangement
+    (Santambrogio, *Optimal Transport for Applied Mathematicians*, 2015,
+    ch. 2).  Three cases:
 
-    By symmetry the reverse-ODE separatrix is the noised midpoint
-    ``0.5 * (mu0 + mu1) * alpha_t``: everything below it originates from the
-    lower atom, everything above from the upper one.
+    * two atoms ``lo < hi``, any weights: ``lo`` below ``a_t = Q_t(w_lo)``,
+      solved once per ``t``, else ``hi``.  For equal weights ``a_t`` is the
+      noised midpoint ``0.5 (lo + hi) alpha_t``.
+    * one Gaussian ``N(m, v)``: ``slope x + m (1 - alpha_t slope)``, with
+      ``slope = sqrt(v / V_t)`` and ``V_t = alpha_t**2 v + sigma2_t``.
+    * any other target: :func:`~cmlab.target_dist._rearrange_1d`, no ``law``.
+
+    Any target builds; one that is not 1-D raises :class:`NumericError`
+    when the function or its law is called.
     """
-    lo, hi = _two_point_atoms(target)
-    mid = 0.5 * (lo + hi)
+    if isinstance(target, DiscreteTarget) and target.n_components == 2:
+        order = np.argsort(target.locations[:, 0])
+        lo, hi = target.locations[order, 0].tolist()
+        w_lo = float(target.weights[order[0]])
+        return _threshold_oracle(
+            lo, hi, _quantile_boundary(target, schedule, lambda t: w_lo)
+        )
+    if isinstance(target, GaussianMixtureTarget) and target.n_components == 1:
+        v = float(target.variances[0])
 
-    def boundary(t: float) -> float:
-        return mid * float(schedule.alpha(t))
+        def affine(t):
+            m = float(_noised_params(target, 1.0, 0.0)[0][0])
+            a = float(schedule.alpha(t))
+            slope = math.sqrt(v / (a * a * v + float(schedule.sigma2(t))))
+            return slope, m * (1.0 - a * slope)
 
-    return _threshold_oracle(lo, hi, boundary)
+        def fn(x, t):
+            slope, intercept = affine(t)
+            return slope * x + intercept
 
+        def law(mixture, t):
+            means, variances, weights = mixture
+            slope, intercept = affine(t)
+            return slope * means + intercept, slope * slope * variances, weights
 
-def exact_single_gaussian(
-    target: GaussianMixtureTarget, schedule: NoiseSchedule
-) -> ConsistencyFn:
-    """Exact affine consistency function for a one-component Gaussian target.
+        return ConsistencyFn(fn, law=law)
 
-    When the data law is ``N(m, v)`` the time-``s`` marginal is
-    ``N(alpha_s m, V_s)`` with ``V_s = alpha_s**2 v + sigma2_s``, the
-    reverse ODE is linear, and trajectories scale deviations from the mean
-    by the total standard deviation:
+    def rearrange(x, t):
+        noised = MarginalView(target, schedule, t).mixture_params()
+        return _rearrange_1d(x, noised, _noised_params(target, 1.0, 0.0))
 
-        f(x, t) = slope * x + m (1 - alpha_t slope),  slope = sqrt(v / V_t).
-
-    Its law maps each mixture component through the same map.  A target
-    that is not 1-D raises when the function or its law is called.
-    """
-    if not isinstance(target, GaussianMixtureTarget) or target.n_components != 1:
-        raise NumericError("closed-form affine oracle requires a single Gaussian")
-    v = float(target.variances[0])
-
-    def affine(t):
-        m = float(_noised_params(target, 1.0, 0.0)[0][0])
-        a = float(schedule.alpha(t))
-        slope = math.sqrt(v / (a * a * v + float(schedule.sigma2(t))))
-        return slope, m * (1.0 - a * slope)
-
-    def fn(x, t):
-        slope, intercept = affine(t)
-        return slope * x + intercept
-
-    def law(mixture, t):
-        means, variances, weights = mixture
-        slope, intercept = affine(t)
-        return slope * means + intercept, slope * slope * variances, weights
-
-    return ConsistencyFn(fn, law=law)
+    return ConsistencyFn(rearrange)
 
 
 def _pf_ode_field(target, lams: np.ndarray) -> Callable:
@@ -345,18 +333,16 @@ def pf_ode_consistency(
     neighbourhood returns that atom bit for bit.  A point exactly on a
     separatrix stays on the saddle and returns the posterior mean there:
     between atoms ``{0, 100}`` under OU the input ``50 alpha_t`` returns 50,
-    where :func:`exact_two_point` returns 100.
+    where the threshold of :func:`quantile_map` returns 100.
     """
     step = _check_step(step)
-    discrete = isinstance(target, DiscreteTarget)
-    radius = geometry(target).radius if discrete else math.inf
     floor2 = _LAMBDA_FLOOR * _LAMBDA_FLOOR
 
     def fn(x, t):
         y = pf_ode_transport(target, schedule, x, t, 0.0, step)
         return y + _mixture_score(y, _noised_params(target, 1.0, floor2), floor2)[0]
 
-    return ConsistencyFn(fn, radius)
+    return ConsistencyFn(fn)
 
 
 def quantile_perturbed(
@@ -380,17 +366,16 @@ def quantile_perturbed(
         raise NumericError(f"kappa must be > 0, got {kappa!r}")
     lo, hi = _two_point_atoms(target)
 
-    @functools.cache
-    def boundary(t: float) -> float:
+    def level(t: float) -> float:
         u = 0.5 + kappa * t * t
         if u >= 1.0:
             raise NumericError(
                 f"quantile level 0.5 + kappa*t^2 = {u} is out of range; "
                 "reduce kappa or the time horizon"
             )
-        return marginal_quantile_1d(MarginalView(target, schedule, t), u)
+        return u
 
-    return _threshold_oracle(lo, hi, boundary)
+    return _threshold_oracle(lo, hi, _quantile_boundary(target, schedule, level))
 
 
 def _mean_squared_gap(view: MarginalView, pair: Callable, n: int, seed):

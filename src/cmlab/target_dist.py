@@ -481,6 +481,28 @@ def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
     return out.reshape(u.shape)
 
 
+def _rearrange_1d(x: np.ndarray, source, target) -> np.ndarray:
+    """``Q_target(F_source(x))`` at ``(n,)`` points, for 1-D mixtures
+    ``(means, variances, weights)``, ``source`` with a density.  Each
+    level is the smaller of the CDF and the survival function (the CDF of
+    the mirrored mixture), solved against the same tail of ``target``, so
+    no tail rounds to 1.  A level that underflows to 0 raises."""
+    means, variances, weights = source
+    sds = np.sqrt(variances)
+    below = _mixture_cdf_1d(x, means, sds, weights)
+    above = _mixture_cdf_1d(-x, -means, sds, weights)
+    lower = below <= above
+    out = np.empty(x.shape)
+    for tail, mask, level, sign in (("lower", lower, below, 1.0),
+                                    ("upper", ~lower, above, -1.0)):
+        level = level[mask]
+        if np.any(level == 0.0):
+            raise NumericError(f"a point lies so far in the {tail} tail of the "
+                               "noised marginal that its level underflows to 0")
+        out[mask] = sign * _mixture_quantiles_1d(sign * target[0], *target[1:], level)
+    return out
+
+
 def marginal_cdf_1d(view: MarginalView, x):
     """CDF of a one-dimensional marginal (weighted sum of Gaussian CDFs)."""
     means, variances, weights = view.mixture_params()

@@ -28,8 +28,6 @@ from cmlab import (
     design_two_step_ou,
     design_uniform,
     evaluation_error,
-    exact_single_gaussian,
-    exact_two_point,
     geometry,
     kl_bound,
     kl_grid,
@@ -39,6 +37,7 @@ from cmlab import (
     marginal_quantile_1d,
     multistep_sample,
     pf_ode_consistency,
+    quantile_map,
     quantile_perturbed,
     sample_marginal,
     sde_contraction_bound,
@@ -68,7 +67,7 @@ def report(k, name, ok, detail, t0):
 def test_c1_perturbed_estimator_mse_scaling():
     t0 = time.perf_counter()
     fhat = quantile_perturbed(TWO_ATOM, OU, kappa=1e-4)
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     cases = [
         (2.0, 4_000_000, np.random.SeedSequence([1, 2]), 0.15),
         (10.0, 1_000_000, np.random.SeedSequence([1, 10]), 0.05),
@@ -91,7 +90,7 @@ def test_c1_perturbed_estimator_mse_scaling():
 
 def test_c2_exact_oracle_sampler_recovers_target():
     t0 = time.perf_counter()
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     taus = design_two_step_ou(100.0, 1.0, 1.0)
     n = 100_000
     x0 = multistep_sample(f, OU, taus, n, seed=14)
@@ -114,7 +113,7 @@ def test_c2_exact_oracle_sampler_recovers_target():
 def test_c3_pf_ode_agrees_with_threshold_oracle():
     t0 = time.perf_counter()
     f_ode = pf_ode_consistency(TWO_ATOM, OU)
-    f_ref = exact_two_point(TWO_ATOM, OU)
+    f_ref = quantile_map(TWO_ATOM, OU)
     seeds = np.random.SeedSequence(77).spawn(3)
     n = 10_000
     worst_agree = 1.0
@@ -334,7 +333,7 @@ def test_c8_noising_contracts_kl_against_w2():
 def test_c9_tv_bound_for_smoothed_gaussian_run():
     t0 = time.perf_counter()
     target = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
-    f = exact_single_gaussian(target, OU)
+    f = quantile_map(target, OU)
 
     def fhat_fn(x, t):
         return (1.0 + 0.01 * t) * f(x, t)

@@ -21,10 +21,10 @@ from cmlab import (
     TrainingPartition,
     consistency_loss,
     evaluation_error,
-    exact_two_point,
     kl_bound,
     make_ou,
     make_ve,
+    quantile_map,
     quantile_perturbed,
     sde_contraction_bound,
     sigma_eps_optimal,
@@ -342,7 +342,7 @@ def test_sqrt_loss_accumulation():
     """
     target = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
     fhat = quantile_perturbed(target, OU, kappa=1e-2)
-    f = exact_two_point(target, OU)
+    f = quantile_map(target, OU)
     part = TrainingPartition(1.0, 3)
     seeds = np.random.SeedSequence(0xACC).spawn(5)
     n = 10_000

@@ -13,7 +13,16 @@ import pytest
 
 import cmlab.cli as cli
 import cmlab.metrics as metrics
-from cmlab import DiscreteTarget, NumericError, w2_stderr_proxy, w2_vs_target_1d
+from cmlab import (
+    DiscreteTarget,
+    GaussianMixtureTarget,
+    NumericError,
+    SamplingTimeSchedule,
+    make_ve,
+    pf_ode_consistency,
+    w2_stderr_proxy,
+    w2_vs_target_1d,
+)
 from cmlab._config import load_experiment_config
 from cmlab.cli import ResultRow, _fmt, main, write_rows_csv
 
@@ -226,8 +235,7 @@ def test_unknown_key_in_any_object_exits_2(tmp_path, capsys, command, path, edit
     (lambda c: c["sampling"].pop("smoothing_sigma"),
      "metrics.tv: the TV check needs sampling.smoothing_sigma"),
     (lambda c: c.update(target={"type": "gmm",
-                                "components": [[0.0, 1.0, 0.5], [3.0, 1.0, 0.5]]},
-                        estimator={"estimator": "pfode"}),
+                                "components": [[0.0, 1.0, 0.5], [3.0, 1.0, 0.5]]}),
      "L: the TV bound requires the target smoothness L (set target.L for mixtures)"),
     (lambda c: c.update(target=_ATOMS),
      "L: the TV bound requires the target smoothness L (set target.L for mixtures)"),
@@ -323,9 +331,6 @@ _CONFIG_ERRORS = {
         lambda c: c.update(estimator={"estimator": "magic"}),
         "estimator.estimator: expected 'exact', 'pfode', or 'quantile_perturbed', "
         "got 'magic'"),
-    "exact_on_mixture": (
-        lambda c: c.update(target=_GMM3),
-        "estimator: closed-form affine oracle requires a single Gaussian"),
     "perturbed_on_gaussian": (
         lambda c: c.update(estimator=_PERTURBED),
         "estimator: this oracle requires an atomic target"),
@@ -407,6 +412,31 @@ def test_every_config_error_exits_2(tmp_path, capsys, monkeypatch, case):
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: {want}\n"
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_mixture_config_without_estimator_runs(tmp_path, capsys):
+    # The benchmark's GMM run with no estimator key: the default is the
+    # exact quantile map, which builds for a mixture.  `bounds` never calls
+    # it, and `experiment` samples with it.
+    config = {k: v for k, v in _PFODE_GMM.items() if k != "estimator"}
+    config["out"] = str(tmp_path / "out.csv")
+    cfg = tmp_path / "gmm.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("bounds", "experiment"):
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_measured_rate_of_rk4_on_a_mixture_is_near_zero():
+    # The exact quantile map is the reference, so the RK4 oracle's rate is
+    # its integration error: about 1e-7 absolute at t = 4, over t.
+    target = GaussianMixtureTarget(*zip(*_GMM3["components"]))
+    rate = cli.measure_eps_over_delta(
+        pf_ode_consistency(target, make_ve(), 0.01), target, make_ve(),
+        SamplingTimeSchedule([4.0, 1.0]), 5, n=4096,
+    )
+    assert math.isfinite(rate) and 0.0 < rate < 1e-6
 
 
 def test_reproduce_sim_rejects_zero_samples(tmp_path, capsys):
@@ -571,6 +601,21 @@ def test_tv_without_an_exact_law_exits_3_before_sampling(tmp_path, capsys, monke
     cfg["estimator"] = {"estimator": "pfode", "ode_step": 0.05}
     (tmp_path / "pfode.json").write_text(json.dumps(cfg))
     assert main(["experiment", "--config", "pfode.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: metrics.tv: analytic TV is only available for a single-Gaussian "
+        "1-D target with the exact estimator (no density estimation is done)\n"
+    )
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_tv_of_the_exact_map_on_a_mixture_exits_3(tmp_path, capsys):
+    # The mixture's exact map has no closed-form law, so no analytic TV.
+    config = dict(_base_config(tmp_path), target=_GMM3)
+    cfg = tmp_path / "gmm_tv.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

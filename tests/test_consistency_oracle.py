@@ -12,24 +12,26 @@ from cmlab import (
     GaussianMixtureTarget,
     MarginalView,
     NumericError,
+    SamplingTimeSchedule,
     TrainingPartition,
     consistency_loss,
     evaluation_error,
-    exact_single_gaussian,
-    exact_two_point,
     make_ou,
     make_ve,
     marginal_quantile_1d,
     marginal_score_path,
     pf_ode_consistency,
     pf_ode_transport,
+    quantile_map,
     quantile_perturbed,
+    sample_marginal,
+    stage_laws,
     target_quantiles_1d,
 )
 from cmlab import consistency_oracle
 from cmlab._rng import chunk_moments, map_chunks, merge_moments
-from cmlab.consistency_oracle import _clamp_norms, _pf_ode_field
-from cmlab.target_dist import _sample_mixture
+from cmlab.consistency_oracle import _pf_ode_field
+from cmlab.target_dist import _noised_params, _rearrange_1d, _sample_mixture
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -42,8 +44,6 @@ def test_solver_config_validation():
             pf_ode_consistency(TWO_ATOM, OU, step=step)
         with pytest.raises(ValueError):
             pf_ode_transport(TWO_ATOM, OU, np.array([1.0]), 2.0, 1.0, step=step)
-    with pytest.raises(ValueError):
-        ConsistencyFn(lambda x, t: x, output_radius=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_solver_config_validation():
 
 
 def test_exact_two_point_values():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     # boundary at t=1 is 50/e ~ 18.39
     assert float(f(np.array([30.0]), 1.0)[0]) == 100.0
     assert float(f(np.array([10.0]), 1.0)[0]) == 0.0
@@ -62,12 +62,12 @@ def test_exact_two_point_values():
 
 
 @pytest.mark.parametrize(
-    "make", [exact_two_point, quantile_perturbed], ids=["exact", "perturbed"]
+    "make", [quantile_map, quantile_perturbed], ids=["exact", "perturbed"]
 )
 @pytest.mark.parametrize("t", [0.5, 9.0])
 def test_threshold_gather_matches_where(make, t):
     f = make(TWO_ATOM, OU)
-    if make is exact_two_point:
+    if make is quantile_map:
         a = 50.0 * float(OU.alpha(t))
     else:
         a = marginal_quantile_1d(MarginalView(TWO_ATOM, OU, t), 0.5 + 1e-4 * t * t)
@@ -81,20 +81,45 @@ def test_threshold_gather_matches_where(make, t):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_exact_two_point_requires_two_equal_atoms():
-    with pytest.raises(NumericError):
-        exact_two_point(DiscreteTarget([0.0, 100.0], [0.3, 0.7]), OU)
-    with pytest.raises(NumericError):
-        exact_two_point(DiscreteTarget([0.0, 1.0, 2.0], [1 / 3] * 3), OU)
-    with pytest.raises(NumericError):
-        exact_two_point(GaussianMixtureTarget([[0.0]], [1.0], [1.0]), OU)
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+@pytest.mark.parametrize("target, times", [
+    (DiscreteTarget([0.0, 100.0], [0.3, 0.7]), (0.5, 2.0, 6.0)),
+    (DiscreteTarget([-3.0, 0.5, 2.0], [0.2, 0.5, 0.3]), (0.3, 1.0, 4.0)),
+], ids=["unequal_pair", "three_atoms"])
+def test_quantile_map_matches_rk4_on_atom_targets(target, times, schedule):
+    # Off the separatrices, the threshold at Q_t(w_lo) (two atoms) and the
+    # general rearrangement (three atoms) give RK4's atom bit for bit, and
+    # the general rearrangement gives the threshold's.
+    f = quantile_map(target, schedule)
+    for t in times:
+        view = MarginalView(target, schedule, t)
+        x = sample_marginal(view, 4000, 4)
+        got = f(x, t)
+        np.testing.assert_array_equal(got, pf_ode_consistency(target, schedule, 0.01)(x, t))
+        general = _rearrange_1d(x, view.mixture_params(), _noised_params(target, 1.0, 0.0))
+        np.testing.assert_array_equal(got, general)
+    assert (f.law is None) == (target.n_components == 3)
+
+
+@pytest.mark.parametrize("atoms, schedule, horizon", [
+    ([0.0, 100.0], OU, 14.0), ([0.0, 1.0], make_ve(), 8.0),
+], ids=["ou", "ve"])
+def test_equal_atom_threshold_is_the_noised_midpoint(atoms, schedule, horizon):
+    # For equal weights the marginal median Q_t(1/2) that the threshold
+    # solves is the noised midpoint bit for bit, so the old closed form and
+    # the solved boundary give the same outputs.
+    target = DiscreteTarget(atoms, [0.5, 0.5])
+    mid = 0.5 * (atoms[0] + atoms[1])
+    for t in np.linspace(0.01, horizon, 400).tolist():
+        a_t = marginal_quantile_1d(MarginalView(target, schedule, t), 0.5)
+        assert a_t == mid * float(schedule.alpha(t)), t
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 def test_identity_at_time_zero_is_bit_exact(x):
     for f in (
-        exact_two_point(TWO_ATOM, OU),
+        quantile_map(TWO_ATOM, OU),
         quantile_perturbed(TWO_ATOM, OU),
         pf_ode_consistency(TWO_ATOM, OU),
         ConsistencyFn(lambda pts, t: pts * 0.0),
@@ -108,20 +133,12 @@ def test_identity_at_time_zero_is_bit_exact(x):
     t=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_output_stays_in_support_radius(x, t):
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     assert abs(float(f(np.array([x]), t)[0])) <= 100.0
 
 
-def test_consistency_fn_clamps_output_norm():
-    f = ConsistencyFn(lambda pts, t: pts * 100.0, output_radius=5.0)
-    out = f(np.array([0.03, -4.0, 0.01]), 1.0)
-    np.testing.assert_allclose(out, [3.0, -5.0, 1.0], rtol=1e-12)
-    # identity at t = 0 is applied before the wrapped map and is not clamped
-    np.testing.assert_array_equal(f(np.array([30.0, -40.0]), 0.0), [30.0, -40.0])
-
-
 def test_one_dim_input_squeezes():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     out = f(np.array([10.0, 30.0]), 1.0)
     assert out.shape == (2,)
     np.testing.assert_array_equal(out, [0.0, 100.0])
@@ -130,7 +147,7 @@ def test_one_dim_input_squeezes():
     # for every oracle and at t = 0.
     gauss = GaussianMixtureTarget([[0.5]], [0.25], [1.0])
     x = np.array([-1.3, 0.2, 40.0])
-    for g in (f, quantile_perturbed(TWO_ATOM, OU), exact_single_gaussian(gauss, OU),
+    for g in (f, quantile_perturbed(TWO_ATOM, OU), quantile_map(gauss, OU),
               pf_ode_consistency(gauss, OU, step=0.05)):
         for t in (0.0, 1.0):
             flat = g(x, t)
@@ -148,14 +165,14 @@ def test_one_dim_input_squeezes():
 
 
 def test_exact_single_gaussian_is_identity_for_stationary_law():
-    f = exact_single_gaussian(GaussianMixtureTarget([[0.0]], [1.0], [1.0]), OU)
+    f = quantile_map(GaussianMixtureTarget([[0.0]], [1.0], [1.0]), OU)
     x = np.array([[-1.3], [0.0], [2.2]])
     np.testing.assert_allclose(f(x, 2.0), x, rtol=1e-12)
 
 
 def test_gaussian_affine_map_values():
     target = GaussianMixtureTarget([[2.0]], [0.25], [1.0])
-    f = exact_single_gaussian(target, OU)
+    f = quantile_map(target, OU)
     # the law of a point mass at 0 is one at the intercept, and a unit
     # variance comes out as slope**2
     means, variances, _ = f.law((np.zeros(2), np.array([0.0, 1.0]), np.full(2, 0.5)), 1.0)
@@ -168,16 +185,36 @@ def test_gaussian_affine_map_values():
     assert float(f(x, 1.0)[0, 0]) == pytest.approx(slope * 0.7 + intercept, rel=1e-12)
 
 
-def test_single_gaussian_oracle_rejects_mixtures():
+def test_quantile_map_has_no_law_on_a_mixture():
+    # A mixture gets the general rearrangement, which has no closed-form
+    # law, so the exact stage laws refuse it.
     mix = GaussianMixtureTarget([[0.0], [5.0]], [1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(NumericError):
-        exact_single_gaussian(mix, OU)
-    # a 2-D Gaussian builds (the bounds read it), but its map and law raise
-    f = exact_single_gaussian(GaussianMixtureTarget([[0.0, 1.0]], [1.0], [1.0]), OU)
-    with pytest.raises(NumericError):
-        f(np.zeros(3), 1.0)
-    with pytest.raises(NumericError):
-        f.law((np.zeros(1), np.ones(1), np.ones(1)), 1.0)
+    f = quantile_map(mix, OU)
+    assert f.law is None
+    with pytest.raises(NumericError, match="closed-form law"):
+        stage_laws(OU, SamplingTimeSchedule([2.0, 1.0]), f)
+    # a target that is not 1-D builds (the bounds read it), but each map
+    # and law raises when called
+    for target in (GaussianMixtureTarget([[0.0, 1.0]], [1.0], [1.0]),
+                   DiscreteTarget([[0.0, 0.0], [3.0, 4.0]], [0.5, 0.5]),
+                   GaussianMixtureTarget([[0.0, 1.0], [2.0, 0.0]], [1.0, 1.0], [0.5, 0.5])):
+        f = quantile_map(target, OU)
+        with pytest.raises(NumericError, match="1-D target"):
+            f(np.zeros(3), 1.0)
+        if f.law is not None:
+            with pytest.raises(NumericError, match="1-D target"):
+                f.law((np.zeros(1), np.ones(1), np.ones(1)), 1.0)
+
+
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_rearrangement_of_one_gaussian_is_the_affine_map(schedule):
+    target = GaussianMixtureTarget([[2.0]], [0.25], [1.0])
+    for t in (0.5, 2.0):
+        view = MarginalView(target, schedule, t)
+        x = sample_marginal(view, 4000, 1)
+        general = _rearrange_1d(x, view.mixture_params(), _noised_params(target, 1.0, 0.0))
+        np.testing.assert_allclose(general, quantile_map(target, schedule)(x, t),
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +232,7 @@ def test_pf_ode_matches_affine_oracle():
     f = pf_ode_consistency(target, OU)
     x = np.array([[-2.0], [-0.5], [0.4], [1.0], [3.0]])
     got = f(x, 1.0)
-    slope = float(exact_single_gaussian(target, OU)(1.0, 1.0))  # the intercept is 0
+    slope = float(quantile_map(target, OU)(1.0, 1.0))  # the intercept is 0
     assert slope == pytest.approx(0.5274864609725978, rel=1e-12)
     np.testing.assert_allclose(got, slope * x, rtol=1e-3)
     assert float(np.max(np.abs(got - slope * x))) < 1e-3
@@ -203,7 +240,7 @@ def test_pf_ode_matches_affine_oracle():
 
 def test_pf_ode_discrete_agrees_with_threshold():
     f_ode = pf_ode_consistency(TWO_ATOM, OU)
-    f_ref = exact_two_point(TWO_ATOM, OU)
+    f_ref = quantile_map(TWO_ATOM, OU)
     rng = np.random.default_rng(5)
     t = 2.0
     x = rng.normal(
@@ -505,6 +542,34 @@ _BENCH_GMM = GaussianMixtureTarget(
 
 @pytest.mark.parametrize("t", [1.0, 4.0])
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_quantile_map_matches_rk4_on_a_mixture(schedule, t):
+    # The general case against RK4 at step 1e-3, on points drawn from p_t.
+    x = sample_marginal(MarginalView(_BENCH_GMM, schedule, t), 512, 3)
+    got = quantile_map(_BENCH_GMM, schedule)(x, t)
+    want = pf_ode_consistency(_BENCH_GMM, schedule, 1e-3)(x, t)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_quantile_map_is_monotone_and_finite_into_both_tails(schedule, t):
+    # From 30 sd below every component of p_t to 30 sd above every one.
+    means, variances, _ = MarginalView(_BENCH_GMM, schedule, t).mixture_params()
+    sds = np.sqrt(variances)
+    x = np.linspace(np.min(means - 30 * sds), np.max(means + 30 * sds), 20001)
+    f = quantile_map(_BENCH_GMM, schedule)
+    out = f(x, t)
+    assert np.all(np.isfinite(out))
+    assert np.all(np.diff(out) > 0)
+    # Far enough out, the level underflows: an error naming the tail, not
+    # a clamped or infinite output.
+    for x_far, tail in ((-1e3, "lower"), (1e3, "upper")):
+        with pytest.raises(NumericError, match=f"{tail} tail"):
+            f(np.array([0.0, x_far]), t)
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
 def test_pf_ode_matches_monotone_rearrangement(schedule, t):
     # In 1-D the consistency function is the monotone rearrangement
     # Q_0(F_t(x)): at x = Q_t(u) the RK4 oracle must give Q_0(u).
@@ -532,74 +597,6 @@ def test_pf_ode_is_the_rearrangement_at_both_steps(schedule):
     assert errors[1e-3] <= 1e-10
 
 
-def _scaled_rows(y, radius):
-    """The output clamp as one ``radius / |y|`` scale for every point."""
-    if not np.isfinite(radius):
-        return y
-    norms = np.abs(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > radius, radius / norms, 1.0)
-    return y * scale
-
-
-@pytest.mark.parametrize("radius", [2.5, math.inf])
-@pytest.mark.parametrize("seed", [1, 3])
-def test_clamp_norms_matches_row_scaling(seed, radius):
-    rng = np.random.default_rng(seed)
-    y = rng.normal(scale=2.0, size=400)
-    y[:6] = 0.0
-    y[1] = -0.0
-    y[2], y[3] = 2.5, -2.5  # exactly at the radius
-    y[4] = 1e6  # far over
-    y[5] = -2.5000000000000004  # one ulp over
-    before = y.copy()
-    got = _clamp_norms(y, radius)
-    want = _scaled_rows(before, radius)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    np.testing.assert_array_equal(y, before)  # the input is left alone
-    inside = y[np.abs(y) <= 2.5]
-    assert _clamp_norms(inside, radius) is inside
-
-
-def _clamp_without_precheck(y, radius):
-    """The output clamp without its range pre-check."""
-    if not np.isfinite(radius):
-        return y
-    norms = np.abs(y)
-    over = np.flatnonzero(norms > radius)
-    if over.size == 0:
-        return y
-    y = y.copy()
-    y[over] *= radius / norms[over]
-    return y
-
-
-_R = 2.5
-_ULP_OVER = np.nextafter(_R, math.inf)
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [_R], [-_R], [_R, -_R, 0.0, -0.0],
-        [_ULP_OVER], [-_ULP_OVER], [_R, -_ULP_OVER],
-        [math.nan], [math.nan, _R], [math.nan, _ULP_OVER], [math.nan, -math.inf],
-        [math.inf], [],
-    ],
-    ids=lambda rows: repr(rows),
-)
-def test_clamp_precheck_matches_full_path(rows):
-    y = np.array(rows, dtype=float)
-    before = y.copy()
-    with np.errstate(invalid="ignore"):  # an infinite row scales to NaN
-        got = _clamp_norms(y, _R)
-        want = _clamp_without_precheck(y, _R)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    # the input itself comes back exactly when the full path returns it
-    assert (got is y) == (want is y)
-    np.testing.assert_array_equal(y.view(np.int64), before.view(np.int64))
-
-
 def test_pf_ode_follows_the_only_component_with_weight_far_out():
     # At -1e6 the density is ~1e-308, but component 0 takes every bit of
     # the responsibility, so the transport is its affine flow in lambda.
@@ -614,7 +611,7 @@ def test_pf_ode_follows_the_only_component_with_weight_far_out():
 @pytest.mark.parametrize("t", [1.0, 2.0, 5.0])
 def test_pf_ode_maps_far_and_separatrix_points_to_threshold_atoms(t):
     f_ode = pf_ode_consistency(TWO_ATOM, OU)
-    f_ref = exact_two_point(TWO_ATOM, OU)
+    f_ref = quantile_map(TWO_ATOM, OU)
     b = 50.0 * float(OU.alpha(t))
     x = np.array([-1e4, 1e4, np.nextafter(b, -math.inf), np.nextafter(b, math.inf)])
     np.testing.assert_array_equal(f_ode(x, t), f_ref(x, t))
@@ -668,7 +665,7 @@ def test_mean_squared_evaluation_error_is_kappa_scaled():
     gap^2 — so the mean squared evaluation error is exactly gap^2*kappa*t^2
     (= t^2 at the defaults)."""
     fhat = quantile_perturbed(TWO_ATOM, OU)
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     for t, seed in ((2.0, 11), (5.0, 12), (10.0, 13)):
         view = MarginalView(TWO_ATOM, OU, t)
         est = evaluation_error(fhat, f, view, 200_000, seed)
@@ -676,7 +673,7 @@ def test_mean_squared_evaluation_error_is_kappa_scaled():
 
 
 def test_evaluation_error_of_identical_fns_is_zero():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     est = evaluation_error(f, f, MarginalView(TWO_ATOM, OU, 1.0), 2000, 0)
     assert est.value == 0.0
     assert est.n == 2000
@@ -688,7 +685,7 @@ def test_evaluation_error_of_identical_fns_is_zero():
 
 def test_exact_oracle_has_zero_self_consistency_loss():
     part = TrainingPartition(1.0, 5)
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     loss = consistency_loss(f, TWO_ATOM, OU, part, i=2, n=2000, seed=0)
     assert loss.value <= 1e-3 * GAP2
     assert loss.value == 0.0
@@ -731,7 +728,7 @@ def _bits(est):
                          ids=["chunks", "empty_chunks"])
 def test_evaluation_error_bits_match_chunk_loop(n, seed):
     fhat = quantile_perturbed(TWO_ATOM, OU, kappa=1e-3)
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     view = MarginalView(TWO_ATOM, OU, 3.0)
     got = evaluation_error(fhat, f, view, n, seed)
     want = _chunked_mse(view, lambda x: fhat(x, 3.0), lambda x: f(x, 3.0), n, seed)

@@ -8,9 +8,9 @@ from cmlab import (
     TrainingPartition,
     consistency_loss,
     evaluation_error,
-    exact_two_point,
     make_ou,
     multistep_sample,
+    quantile_map,
     quantile_perturbed,
     sample_marginal,
 )
@@ -80,7 +80,7 @@ def test_reused_seed_sequence_gives_the_same_draws():
             fhat, ou, SamplingTimeSchedule((4.0, 1.0)), 50, ss),
         "sample_marginal": lambda ss: sample_marginal(view, 50, ss),
         "evaluation_error": lambda ss: evaluation_error(
-            fhat, exact_two_point(atoms, ou), view, 400, ss),
+            fhat, quantile_map(atoms, ou), view, 400, ss),
         "consistency_loss": lambda ss: consistency_loss(
             fhat, atoms, ou, TrainingPartition(0.5, 4), 1, 200, ss, step=0.05),
     }

@@ -17,12 +17,11 @@ from cmlab import (
     design_halving_ve,
     design_two_step_ou,
     design_uniform,
-    exact_single_gaussian,
-    exact_two_point,
     make_ou,
     make_ve,
     multistep_sample,
     pf_ode_consistency,
+    quantile_map,
     quantile_perturbed,
     sigma_eps_optimal,
     stage_laws,
@@ -75,7 +74,7 @@ def _recording(fhat):
 
 
 def test_single_step_proportions():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     x0 = multistep_sample(f, OU, SamplingTimeSchedule((10.0,)), 100_000, seed=0)
     out = x0[-1]
     p = float((out == 0.0).mean())
@@ -85,7 +84,7 @@ def test_single_step_proportions():
 
 
 def test_trajectory_record_shapes_and_determinism():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     taus = SamplingTimeSchedule((14.0, 9.0))
     (fa, noisy_a), (fb, noisy_b), (fc, noisy_c) = (_recording(f) for _ in range(3))
     a = multistep_sample(fa, OU, taus, 3000, seed=42)
@@ -102,7 +101,7 @@ def test_trajectory_record_shapes_and_determinism():
 def test_renoising_is_gaussian():
     # Stage-2 residuals (x_2 - alpha_2 x0_1) / sigma_2 are exactly iid
     # standard normal; Anderson-Darling at the 1% level.
-    f, noisy = _recording(exact_two_point(TWO_ATOM, OU))
+    f, noisy = _recording(quantile_map(TWO_ATOM, OU))
     taus = SamplingTimeSchedule((14.0, 9.0))
     x0 = multistep_sample(f, OU, taus, 2000, seed=0)
     a2 = math.exp(-9.0)
@@ -136,9 +135,9 @@ def _chunk_major_reference(fhat, schedule, taus, n, seed):
 _GMM3 = GaussianMixtureTarget([[-4.0], [0.0], [3.0]], [0.5, 1.0, 0.25], [0.3, 0.5, 0.2])
 _GAUSS = GaussianMixtureTarget([[2.0]], [0.5], [1.0])
 _ORACLES = {
-    "threshold": (lambda: exact_two_point(TWO_ATOM, OU), OU, (14.0, 9.0, 3.0)),
+    "threshold": (lambda: quantile_map(TWO_ATOM, OU), OU, (14.0, 9.0, 3.0)),
     "quantile_perturbed": (lambda: quantile_perturbed(TWO_ATOM, OU), OU, (14.0, 7.0, 4.0, 1.0)),
-    "affine": (lambda: exact_single_gaussian(_GAUSS, OU), OU, (4.0, 2.0, 1.0, 0.5)),
+    "affine": (lambda: quantile_map(_GAUSS, OU), OU, (4.0, 2.0, 1.0, 0.5)),
     "pf_ode": (lambda: pf_ode_consistency(_GMM3, make_ve(), step=0.05),
                make_ve(), (2.0, 0.5)),
     # returns the sampler's own noisy slab, which the next stage redraws
@@ -347,7 +346,7 @@ def test_sigma_eps_optimal():
 
 
 def test_threshold_stage_laws_match_sampler():
-    f = exact_two_point(TWO_ATOM, OU)
+    f = quantile_map(TWO_ATOM, OU)
     taus = SamplingTimeSchedule((14.0, 9.0))
     views, outputs = stage_laws(OU, taus, f)
     weights = [float(w[0]) for _, _, w in outputs]
@@ -390,7 +389,7 @@ def test_affine_stage_laws_exact_recursion():
     # the stage variances follow sigma2 composition exactly.
     target = GaussianMixtureTarget([[0.0]], [1.0], [1.0])
     taus = SamplingTimeSchedule((10.0, 2.0))
-    stages, outputs = _mean_var(*stage_laws(OU, taus, exact_single_gaussian(target, OU)))
+    stages, outputs = _mean_var(*stage_laws(OU, taus, quantile_map(target, OU)))
     out = outputs[-1]
     assert stages[0][0] == 0.0
     assert stages[0][1] == pytest.approx(-math.expm1(-20.0), rel=1e-12)
@@ -398,7 +397,7 @@ def test_affine_stage_laws_exact_recursion():
     assert out[0] == 0.0
     assert out[1] == pytest.approx(-math.expm1(-24.0), rel=1e-12)
 
-    x0 = multistep_sample(exact_single_gaussian(target, OU), OU, taus, 50_000, 2)
+    x0 = multistep_sample(quantile_map(target, OU), OU, taus, 50_000, 2)
     v_emp = float(x0[-1].var())
     assert abs(v_emp - out[1]) < 4.0 * out[1] * math.sqrt(2.0 / 50_000)
 
@@ -430,7 +429,7 @@ def test_affine_stage_outputs_match_truncated_runs():
     # bitwise the output law of the schedule cut after stage i.
     target = GaussianMixtureTarget([[2.0]], [0.5], [1.0])
     taus = SamplingTimeSchedule((4.0, 2.0, 1.0, 0.5))
-    f = exact_single_gaussian(target, OU)
+    f = quantile_map(target, OU)
 
     def affine(t):
         # the closed form of the oracle: slope sqrt(v / V_t), intercept
