@@ -33,6 +33,7 @@ from .consistency_oracle import (
 from .errors import CmlabError, ConfigError, NumericError
 from .metrics import (
     GridIntegral,
+    coupling_quantiles,
     kl_grid,
     tv_grid,
     w2_empirical_1d,
@@ -95,6 +96,7 @@ __all__ = [
     "W2BoundBreakdown",
     "consistency_loss",
     "contraction",
+    "coupling_quantiles",
     "custom_from_csv",
     "design_halving_ve",
     "design_two_step_ou",

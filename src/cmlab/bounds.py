@@ -35,6 +35,7 @@ __all__ = [
     "W2BoundBreakdown",
     "TvBoundBreakdown",
     "TailBoundBreakdown",
+    "TwoStepLeadingTerms",
     "w2_bound_general",
     "w2_bound_modified",
     "tv_bound",

@@ -15,11 +15,11 @@ provides:
   ``asinh(lam**(1/3))`` to the noise floor ``lam = 1e-6``, where it
   returns the posterior mean ``D``;
 * ``quantile_perturbed`` — a deliberately miscalibrated threshold estimator
-  whose decision boundary sits at the ``0.5 + kappa * t**2`` quantile of the
-  true marginal, giving a mean squared evaluation error of exactly
+  whose decision boundary sits at the ``w_lo + kappa * t**2`` quantile of
+  the true marginal, giving a mean squared evaluation error of exactly
   ``gap**2 * kappa * t**2`` against the exact oracle;
-* Monte Carlo evaluators for the per-step self-consistency loss and the
-  evaluation error against a reference oracle.
+* Monte Carlo evaluators for the evaluation error against a reference
+  oracle and for the per-step self-consistency loss along the exact flow.
 
 Points are scalars.  All consistency functions map each entry of an array
 on its own and return it unchanged at ``t = 0`` (bit-exactly).  The
@@ -114,29 +114,40 @@ class ConsistencyFn:
         return out.reshape(x.shape)
 
 
-def _two_point_atoms(target: DiscreteTarget) -> tuple[float, float]:
-    if not isinstance(target, DiscreteTarget):
-        raise NumericError("this oracle requires an atomic target")
-    if target.dim != 1 or target.n_components != 2:
-        raise NumericError("this oracle requires exactly two atoms in 1-D")
-    w = target.weights
-    if abs(float(w[0]) - 0.5) > 1e-12:
-        raise NumericError("this oracle requires equal atom weights")
-    lo, hi = sorted(float(v) for v in target.locations[:, 0])
-    return lo, hi
+def _flow(target, schedule: NoiseSchedule, x: np.ndarray, t_from: float, t_to: float):
+    """``Q_{t_to}(F_{t_from}(x))``, the exact probability-flow map of ``(n,)``
+    points, for ``p_{t_from}`` with a density.  Time 0 is the target itself:
+    a custom schedule's ``alpha(0)`` is only within 1e-9 of 1."""
+
+    def law(t):
+        if t == 0.0:
+            return _noised_params(target, 1.0, 0.0)
+        return MarginalView(target, schedule, t).mixture_params()
+
+    return _rearrange_1d(x, law(t_from), law(t_to))
 
 
-def _quantile_boundary(target, schedule: NoiseSchedule, level: Callable) -> Callable:
-    """``boundary(t)``, the ``level(t)`` quantile of the time-``t`` marginal,
-    solved once per ``t``.  The solver is looked up in this module at call
-    time, so a wrapper of :func:`marginal_quantile_1d` here sees every
-    solve."""
+def _quantile_threshold(target, schedule: NoiseSchedule, kappa: float = 0.0):
+    """The threshold oracle of a target of two atoms ``lo < hi``, with its
+    boundary at the ``w_lo + kappa * t**2`` quantile of the time-``t``
+    marginal (``w_lo`` bit for bit at ``kappa = 0``), solved once per ``t``.
+    The solver is looked up in this module at call time, so a wrapper of
+    :func:`marginal_quantile_1d` here sees every solve."""
+    order = np.argsort(target.locations[:, 0])
+    lo, hi = target.locations[order, 0].tolist()
+    w_lo = float(target.weights[order[0]])
 
     @functools.cache
     def boundary(t: float) -> float:
-        return marginal_quantile_1d(MarginalView(target, schedule, t), level(t))
+        u = w_lo + kappa * t * t
+        if u >= 1.0:
+            raise NumericError(
+                f"quantile level w_lo + kappa*t^2 = {u} is out of range; "
+                "reduce kappa or the time horizon"
+            )
+        return marginal_quantile_1d(MarginalView(target, schedule, t), u)
 
-    return boundary
+    return _threshold_oracle(lo, hi, boundary)
 
 
 def _threshold_oracle(lo: float, hi: float, boundary: Callable):
@@ -168,22 +179,19 @@ def quantile_map(target, schedule: NoiseSchedule) -> ConsistencyFn:
     ch. 2).  Three cases:
 
     * two atoms ``lo < hi``, any weights: ``lo`` below ``a_t = Q_t(w_lo)``,
-      solved once per ``t``, else ``hi``.  For equal weights ``a_t`` is the
-      noised midpoint ``0.5 (lo + hi) alpha_t``.
+      solved once per ``t``, else ``hi`` (NaN included).  For equal weights
+      ``a_t`` is the noised midpoint ``0.5 (lo + hi) alpha_t``.
     * one Gaussian ``N(m, v)``: ``slope x + m (1 - alpha_t slope)``, with
-      ``slope = sqrt(v / V_t)`` and ``V_t = alpha_t**2 v + sigma2_t``.
-    * any other target: :func:`~cmlab.target_dist._rearrange_1d`, no ``law``.
+      ``slope = sqrt(v / V_t)`` and ``V_t = alpha_t**2 v + sigma2_t`` (NaN
+      to NaN).
+    * any other target: :func:`_flow` from ``t`` to 0, no ``law``; a
+      non-finite point raises :class:`NumericError`.
 
     Any target builds; one that is not 1-D raises :class:`NumericError`
     when the function or its law is called.
     """
     if isinstance(target, DiscreteTarget) and target.n_components == 2:
-        order = np.argsort(target.locations[:, 0])
-        lo, hi = target.locations[order, 0].tolist()
-        w_lo = float(target.weights[order[0]])
-        return _threshold_oracle(
-            lo, hi, _quantile_boundary(target, schedule, lambda t: w_lo)
-        )
+        return _quantile_threshold(target, schedule)
     if isinstance(target, GaussianMixtureTarget) and target.n_components == 1:
         v = float(target.variances[0])
 
@@ -204,11 +212,7 @@ def quantile_map(target, schedule: NoiseSchedule) -> ConsistencyFn:
 
         return ConsistencyFn(fn, law=law)
 
-    def rearrange(x, t):
-        noised = MarginalView(target, schedule, t).mixture_params()
-        return _rearrange_1d(x, noised, _noised_params(target, 1.0, 0.0))
-
-    return ConsistencyFn(rearrange)
+    return ConsistencyFn(lambda x, t: _flow(target, schedule, x, t, 0.0))
 
 
 def _pf_ode_field(target, lams: np.ndarray) -> Callable:
@@ -352,10 +356,11 @@ def quantile_perturbed(
 ) -> ConsistencyFn:
     """Threshold estimator with a quantile-shifted decision boundary.
 
-    Instead of the exact separatrix (the median of the marginal), the
-    boundary at time ``t`` is the ``0.5 + kappa * t**2`` quantile ``a_t`` of
-    the true marginal, so the estimator misassigns exactly ``kappa * t**2``
-    of the marginal mass and
+    For atoms ``lo < hi`` of any weights, instead of the exact boundary
+    ``Q_t(w_lo)`` the boundary at time ``t`` is the ``w_lo + kappa * t**2``
+    quantile ``a_t`` of the true marginal, so the estimator sends exactly
+    ``kappa * t**2`` of the marginal mass to ``lo`` that the exact oracle
+    sends to ``hi``, and
 
         E_{x ~ p_t} (fhat(x, t) - f(x, t))**2 = gap**2 * kappa * t**2.
 
@@ -364,32 +369,11 @@ def quantile_perturbed(
     """
     if not kappa > 0:
         raise NumericError(f"kappa must be > 0, got {kappa!r}")
-    lo, hi = _two_point_atoms(target)
-
-    def level(t: float) -> float:
-        u = 0.5 + kappa * t * t
-        if u >= 1.0:
-            raise NumericError(
-                f"quantile level 0.5 + kappa*t^2 = {u} is out of range; "
-                "reduce kappa or the time horizon"
-            )
-        return u
-
-    return _threshold_oracle(lo, hi, _quantile_boundary(target, schedule, level))
-
-
-def _mean_squared_gap(view: MarginalView, pair: Callable, n: int, seed):
-    """Monte Carlo ``E_{x ~ p_t} |a - b|^2`` with ``(a, b) = pair(x)``,
-    called once per RNG chunk of :func:`~cmlab._rng.map_chunks`."""
-    means, variances, weights = view.mixture_params()
-
-    def chunk(rng, m, _ci):
-        if m == 0:
-            return 0.0, 0.0, 0
-        a, b = pair(_sample_mixture(rng, means, variances, weights, m))
-        return chunk_moments((a - b) ** 2)
-
-    return merge_moments(map_chunks(chunk, n, seed))
+    if not isinstance(target, DiscreteTarget):
+        raise NumericError("this oracle requires an atomic target")
+    if target.dim != 1 or target.n_components != 2:
+        raise NumericError("this oracle requires exactly two atoms in 1-D")
+    return _quantile_threshold(target, schedule, kappa)
 
 
 def consistency_loss(
@@ -400,27 +384,25 @@ def consistency_loss(
     i: int,
     n: int,
     seed,
-    step: float = 1e-3,
 ) -> MonteCarloEstimate:
-    """Monte Carlo per-step self-consistency loss at partition step ``i``.
-
-    Estimates ``E_{x ~ p_{t_i}} | fhat(x, t_i) - fhat(phi(t_{i+1}; x, t_i),
-    t_{i+1}) |^2`` where ``phi`` advances the probability-flow ODE one
-    partition step forward in time, by :func:`pf_ode_transport` with steps
-    of at most ``step`` in ``v = asinh(lam**(1/3))``.
+    """Monte Carlo per-step self-consistency loss at partition step ``i``,
+    ``E_{x ~ p_{t_i}} | fhat(x, t_i) - fhat(phi(x), t_{i+1}) |^2`` for the
+    probability-flow map ``phi``, taken as ``E_{y ~ p_{t_{i+1}}}`` with ``x =
+    phi^{-1}(y) = Q_{t_i}(F_{t_{i+1}}(y))`` (:func:`_flow`), which is drawn
+    from ``p_{t_i}``, on the atoms themselves at ``t_0 = 0``.  So the step-0
+    loss is the evaluation error at ``t_1`` against :func:`quantile_map`.
     """
-    step = _check_step(step)
     if not 0 <= i <= partition.m - 1:
         raise NumericError(f"step index {i} outside 0..{partition.m - 1}")
     t_i = partition.time_of(i)
     t_next = partition.time_of(i + 1)
 
-    def pair(x):
-        here = fhat(x, t_i)
-        moved = pf_ode_transport(target, schedule, x, t_i, t_next, step)
-        return here, fhat(moved, t_next)
+    def pulled_back(y, t):
+        return fhat(_flow(target, schedule, y, t, t_i), t_i)
 
-    return _mean_squared_gap(MarginalView(target, schedule, t_i), pair, n, seed)
+    return evaluation_error(
+        fhat, pulled_back, MarginalView(target, schedule, t_next), n, seed
+    )
 
 
 def evaluation_error(
@@ -432,4 +414,12 @@ def evaluation_error(
 ) -> MonteCarloEstimate:
     """Monte Carlo ``E_{x ~ p_t} | fhat(x, t) - f_ref(x, t) |^2``."""
     t = view.t
-    return _mean_squared_gap(view, lambda x: (fhat(x, t), f_ref(x, t)), n, seed)
+    means, variances, weights = view.mixture_params()
+
+    def chunk(rng, m, _ci):
+        if m == 0:
+            return 0.0, 0.0, 0
+        x = _sample_mixture(rng, means, variances, weights, m)
+        return chunk_moments((fhat(x, t) - f_ref(x, t)) ** 2)
+
+    return merge_moments(map_chunks(chunk, n, seed))

@@ -486,7 +486,12 @@ def _rearrange_1d(x: np.ndarray, source, target) -> np.ndarray:
     ``(means, variances, weights)``, ``source`` with a density.  Each
     level is the smaller of the CDF and the survival function (the CDF of
     the mirrored mixture), solved against the same tail of ``target``, so
-    no tail rounds to 1.  A level that underflows to 0 raises."""
+    no tail rounds to 1.  A non-finite point, and a level that underflows
+    to 0, raise :class:`NumericError`."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise NumericError(f"point {bad[0]} is {x[bad[0]]}: the rearrangement "
+                           "needs finite points")
     means, variances, weights = source
     sds = np.sqrt(variances)
     below = _mixture_cdf_1d(x, means, sds, weights)

@@ -325,16 +325,15 @@ def test_leading_terms_invalid_regimes():
 
 
 def test_sqrt_loss_accumulation():
-    """sqrt(MSE(t_m)) <= sqrt(MSE(t_1)) + sum_{i>=1} sqrt(loss_i).
+    """sqrt(MSE(t_m)) <= sum_{i=0}^{m-1} sqrt(loss_i), and the same chain
+    anchored at t_1, sqrt(MSE(t_m)) <= sqrt(MSE(t_1)) + sum_{i>=1}
+    sqrt(loss_i).
 
-    Evaluation error at a late partition point is controlled by the error at
-    the *first* positive partition point plus accumulated per-step
-    self-consistency losses (triangle inequality in L2 along the exact
-    flow).  The sum is anchored at t_1, not t_0: for atomic targets the
-    step-0 loss is identically zero — the ODE flow from t = 0 starts every
-    conditional trajectory on its atom's mean path, so both evaluations in
-    the step-0 loss see the same classification — and an anchor at zero
-    would therefore undercount.  Checked for the two-step chain (m = 2) and
+    Evaluation error at a late partition point is controlled by the
+    accumulated per-step self-consistency losses (triangle inequality in L2
+    along the exact flow).  The step-0 loss is not zero: ``fhat(., 0)`` is
+    the identity, so it is the evaluation error at t_1, and both chains
+    have the same expectation.  Checked for the two-step chain (m = 2) and
     the three-step chain (m = 3).
 
     (kappa is scaled up to 1e-2 so the Monte Carlo margin is decisive at
@@ -344,7 +343,7 @@ def test_sqrt_loss_accumulation():
     fhat = quantile_perturbed(target, OU, kappa=1e-2)
     f = quantile_map(target, OU)
     part = TrainingPartition(1.0, 3)
-    seeds = np.random.SeedSequence(0xACC).spawn(5)
+    seeds = np.random.SeedSequence(0xACC).spawn(6)
     n = 10_000
 
     def mse(t, seed):
@@ -355,12 +354,14 @@ def test_sqrt_loss_accumulation():
     mse2 = mse(2.0, seeds[2])
     loss2 = consistency_loss(fhat, target, OU, part, i=2, n=n, seed=seeds[3])
     mse3 = mse(3.0, seeds[4])
+    loss0 = consistency_loss(fhat, target, OU, part, i=0, n=n, seed=seeds[5])
 
     def half_se(est):
         # first-order error propagation through the square root
         return est.stderr / (2.0 * math.sqrt(est.value))
 
-    for lhs_est, rhs_ests in ((mse2, (mse1, loss1)), (mse3, (mse1, loss1, loss2))):
+    for lhs_est, rhs_ests in ((mse2, (mse1, loss1)), (mse3, (mse1, loss1, loss2)),
+                              (mse2, (loss0, loss1)), (mse3, (loss0, loss1, loss2))):
         lhs = math.sqrt(lhs_est.value)
         rhs = sum(math.sqrt(est.value) for est in rhs_ests)
         # conservative: the standard errors add rather than in quadrature

@@ -31,7 +31,12 @@ from cmlab import (
 from cmlab import consistency_oracle
 from cmlab._rng import chunk_moments, map_chunks, merge_moments
 from cmlab.consistency_oracle import _pf_ode_field
-from cmlab.target_dist import _noised_params, _rearrange_1d, _sample_mixture
+from cmlab.target_dist import (
+    _mixture_quantiles_1d,
+    _noised_params,
+    _rearrange_1d,
+    _sample_mixture,
+)
 
 OU = make_ou()
 TWO_ATOM = DiscreteTarget([0.0, 100.0], [0.5, 0.5])
@@ -185,6 +190,21 @@ def test_gaussian_affine_map_values():
     assert float(f(x, 1.0)[0, 0]) == pytest.approx(slope * 0.7 + intercept, rel=1e-12)
 
 
+def test_quantile_map_on_non_finite_points():
+    # The threshold sends NaN to the upper atom and the affine map gives
+    # NaN, with no check on their hot path; the general rearrangement raises
+    # naming the first non-finite point.
+    x = np.array([1.0, math.nan, 30.0])
+    np.testing.assert_array_equal(quantile_map(TWO_ATOM, OU)(x, 1.0), [0.0, 100.0, 100.0])
+    gauss = quantile_map(GaussianMixtureTarget([[2.0]], [0.25], [1.0]), OU)(x, 1.0)
+    assert math.isnan(gauss[1]) and np.all(np.isfinite(gauss[[0, 2]]))
+    f = quantile_map(_BENCH_GMM, OU)
+    with pytest.raises(NumericError, match="point 1 is nan"):
+        f(x, 1.0)
+    with pytest.raises(NumericError, match="point 2 is -inf"):
+        f(np.array([0.5, 1.0, -math.inf, math.nan]), 1.0)
+
+
 def test_quantile_map_has_no_law_on_a_mixture():
     # A mixture gets the general rearrangement, which has no closed-form
     # law, so the exact stage laws refuse it.
@@ -317,17 +337,15 @@ def _count_field_calls(monkeypatch):
 def test_pf_ode_takes_ceil_dv_over_step_rk4_steps(monkeypatch, t, step, schedule, n_steps):
     # Steps uniform in v = asinh(lam**(1/3)): ceil(|dv| / step) of them,
     # four field evaluations each, backward from t to the noise floor and
-    # forward from 0 to t as consistency_loss runs the partition step.
+    # forward from 0 to t.
     lam = float(_lambdas(schedule, [t])[0])
     dv = math.asinh(lam ** (1 / 3)) - math.asinh(1e-6 ** (1 / 3))
     assert math.ceil(dv / step) == n_steps
     runs = _count_field_calls(monkeypatch)
     x = np.array([-1.0, 0.5, 2.0])
     pf_ode_consistency(_GMM3, schedule, step)(x, t)
-    part = TrainingPartition(t, 1)
-    identity = ConsistencyFn(lambda y, _t: y)
-    consistency_loss(identity, _GMM3, schedule, part, i=0, n=2, seed=1, step=step)
-    assert len(runs) > 1  # one transport per non-empty Monte Carlo chunk
+    pf_ode_transport(_GMM3, schedule, x, 0.0, t, step)
+    assert len(runs) == 2
     for run in runs:
         assert run == {"nodes": 2 * n_steps + 1, "calls": 4 * n_steps}
 
@@ -597,6 +615,24 @@ def test_pf_ode_is_the_rearrangement_at_both_steps(schedule):
     assert errors[1e-3] <= 1e-10
 
 
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_pf_ode_forward_step_is_the_exact_flow(schedule):
+    # RK4 forward over one partition step, from x = Q_{t_i}(u), against the
+    # exact flow Q_{t_next}(F_{t_i}(x)) of the self-consistency loss, with
+    # the gates of the backward test above.
+    u = (np.arange(256) + 0.5) / 256
+    errors = {0.01: 0.0, 1e-3: 0.0}
+    for t_i, t_next in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0)):
+        view = MarginalView(_BENCH_GMM, schedule, t_i)
+        x = _mixture_quantiles_1d(*view.mixture_params(), u)
+        want = consistency_oracle._flow(_BENCH_GMM, schedule, x, t_i, t_next)
+        for step in errors:
+            got = pf_ode_transport(_BENCH_GMM, schedule, x, t_i, t_next, step)
+            errors[step] = max(errors[step], float(np.max(np.abs(got - want))))
+    assert errors[0.01] <= 5e-7
+    assert errors[1e-3] <= 1e-10
+
+
 def test_pf_ode_follows_the_only_component_with_weight_far_out():
     # At -1e6 the density is ~1e-308, but component 0 takes every bit of
     # the responsibility, so the transport is its affine flow in lambda.
@@ -651,6 +687,21 @@ def test_quantile_perturbed_boundary(monkeypatch):
     )
 
 
+def test_quantile_perturbed_shifts_unequal_weights_by_kappa_t2():
+    # Atoms 0 and 100 of weights 0.3 and 0.7, listed high atom first: the
+    # boundary sits at the 0.3 + kappa t^2 quantile, so the law puts that
+    # mass on the low atom, and the exact map puts 0.3 there.
+    target = DiscreteTarget([100.0, 0.0], [0.7, 0.3])
+    fhat = quantile_perturbed(target, OU, kappa=1e-3)
+    for t in (0.5, 2.0, 10.0):
+        mixture = MarginalView(target, OU, t).mixture_params()
+        atoms, _, weights = fhat.law(mixture, t)
+        assert atoms.tolist() == [0.0, 100.0]
+        assert abs(weights[0] - (0.3 + 1e-3 * t * t)) <= 1e-12
+        exact = quantile_map(target, OU).law(mixture, t)[2]
+        assert abs(exact[0] - 0.3) <= 1e-12
+
+
 def test_quantile_perturbed_time_zero_and_range():
     fhat = quantile_perturbed(TWO_ATOM, OU)
     assert float(fhat(np.array([33.0]), 0.0)[0]) == 33.0
@@ -689,6 +740,23 @@ def test_exact_oracle_has_zero_self_consistency_loss():
     loss = consistency_loss(f, TWO_ATOM, OU, part, i=2, n=2000, seed=0)
     assert loss.value <= 1e-3 * GAP2
     assert loss.value == 0.0
+
+
+@pytest.mark.parametrize("target, make_fhat", [
+    (TWO_ATOM, lambda target: quantile_perturbed(target, OU, kappa=1e-2)),
+    (DiscreteTarget([0.0, 100.0], [0.3, 0.7]),
+     lambda target: quantile_perturbed(target, OU, kappa=1e-2)),
+    (_BENCH_GMM, lambda target: pf_ode_consistency(target, OU, step=0.05)),
+], ids=["equal_atoms", "unequal_atoms", "pfode_gmm"])
+def test_step_zero_loss_is_the_evaluation_error_at_t1(target, make_fhat):
+    # fhat(., 0) is the identity and the exact flow from t_1 back to 0 is
+    # quantile_map, so the step-0 loss is the evaluation error at t_1.
+    fhat = make_fhat(target)
+    loss = consistency_loss(fhat, target, OU, TrainingPartition(0.5, 4), 0, 1000, 9)
+    view = MarginalView(target, OU, 0.5)
+    want = evaluation_error(fhat, quantile_map(target, OU), view, 1000, 9)
+    assert _bits(loss) == _bits(want)
+    assert loss.value > 0.0
 
 
 def test_consistency_loss_determinism_and_range():
@@ -744,12 +812,13 @@ def test_consistency_loss_bits_match_chunk_loop(target, make_fhat):
     fhat = make_fhat(target)
     part = TrainingPartition(0.5, 4)
     t_i, t_next = 0.5, 1.0
+    view = MarginalView(target, OU, t_next)
+    before = MarginalView(target, OU, t_i).mixture_params()
 
-    def there(x):
-        return fhat(pf_ode_transport(target, OU, x, t_i, t_next, 0.05), t_next)
+    def back(y):
+        return fhat(_rearrange_1d(y, view.mixture_params(), before), t_i)
 
-    got = consistency_loss(fhat, target, OU, part, i=1, n=1000, seed=9, step=0.05)
-    view = MarginalView(target, OU, t_i)
-    want = _chunked_mse(view, lambda x: fhat(x, t_i), there, 1000, 9)
+    got = consistency_loss(fhat, target, OU, part, i=1, n=1000, seed=9)
+    want = _chunked_mse(view, lambda y: fhat(y, t_next), back, 1000, 9)
     assert _bits(got) == _bits(want)
     assert got.value > 0.0

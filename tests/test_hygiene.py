@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a ``cmlab`` module
-imports is read somewhere in that module."""
+imports is read somewhere in that module, and the package exports exactly
+the public names of its modules."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,18 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_package_exports_exactly_the_module_exports():
+    # The package re-exports every public name of its modules, and nothing
+    # else but the three error classes.
+    import cmlab
+    from cmlab import (bounds, consistency_oracle, metrics, noise_schedule, sampler,
+                       target_dist)
+
+    modules = (bounds, consistency_oracle, metrics, noise_schedule, sampler, target_dist)
+    want = {"CmlabError", "ConfigError", "NumericError"}
+    for module in modules:
+        want.update(module.__all__)
+    assert sorted(cmlab.__all__) == sorted(want)
+    assert all(hasattr(cmlab, name) for name in cmlab.__all__)

@@ -82,7 +82,7 @@ def test_reused_seed_sequence_gives_the_same_draws():
         "evaluation_error": lambda ss: evaluation_error(
             fhat, quantile_map(atoms, ou), view, 400, ss),
         "consistency_loss": lambda ss: consistency_loss(
-            fhat, atoms, ou, TrainingPartition(0.5, 4), 1, 200, ss, step=0.05),
+            fhat, atoms, ou, TrainingPartition(0.5, 4), 1, 200, ss),
     }
     for name, run in runs.items():
         seq = np.random.SeedSequence(3)
