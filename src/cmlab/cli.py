@@ -231,11 +231,11 @@ def cmd_reproduce_sim(n: int = DEFAULT_SIM_N, seed: int = DEFAULT_SIM_SEED,
         ("halving", design_halving_ve(14.0, delta)),
     ]
     children = np.random.SeedSequence(seed).spawn(len(designs))
-    quantiles = coupling_quantiles(target, n)
+    quantiles, buffer = coupling_quantiles(target, n), np.empty(n)
     all_rows: list[ResultRow] = []
     for (label, taus), child in zip(designs, children):
         w2s = multistep_sample(estimator, schedule, taus, n, child,
-                               per_stage=lambda x0: _coupling_w2(x0, quantiles))
+                               per_stage=lambda x0: _coupling_w2(x0, quantiles, buffer))
         all_rows.extend(
             _stage_rows(label, taus, w2s, target, schedule, eps_over_delta)
         )
@@ -319,7 +319,7 @@ def _analytic_tv_info(cfg: ExperimentConfig, eps_over_delta: float):
 def cmd_experiment(config_path: str) -> int:
     cfg = load_experiment_config(config_path)
     # Solved first, so that a target that is not 1-D stops before any sampling.
-    quantiles = coupling_quantiles(cfg.target, cfg.n)
+    quantiles, buffer = coupling_quantiles(cfg.target, cfg.n), np.empty(cfg.n)
     if cfg.eps_over_delta == "measured":
         seed_measure = np.random.SeedSequence([int(cfg.seed), 0xE5])
         eps_over_delta = measure_eps_over_delta(
@@ -331,7 +331,7 @@ def cmd_experiment(config_path: str) -> int:
     tv_info = _analytic_tv_info(cfg, eps_over_delta)
     w2s = multistep_sample(
         cfg.estimator, cfg.schedule, cfg.taus, cfg.n, cfg.seed,
-        per_stage=lambda x0: _coupling_w2(x0, quantiles),
+        per_stage=lambda x0: _coupling_w2(x0, quantiles, buffer),
     )
     rows = _stage_rows(
         cfg.label, cfg.taus, w2s, cfg.target, cfg.schedule, eps_over_delta, tv_info,

@@ -71,6 +71,8 @@ _MAX_ODE_STEPS = 10**8
 _LAMBDA_FLOOR = 1e-6
 # In y = x / alpha the PF-ODE field at lam is the VE field at t = lam.
 _VE = make_ve()
+# Points per block of the threshold oracle's gather.
+_GATHER_BLOCK = 1 << 16
 
 
 def _check_step(step) -> float:
@@ -154,14 +156,25 @@ def _threshold_oracle(lo: float, hi: float, boundary: Callable):
     """The rule ``lo`` where ``x < boundary(t)``, else ``hi`` (NaN included),
     for two atoms ``lo < hi``: ``np.where``, but as a gather from ``[hi,
     lo]`` indexed by the comparison, which on unordered points, such as a
-    sampler stage's, runs in about half ``where``'s time.  Its law puts the
-    mixture's mass below ``boundary(t)`` on ``lo`` and the rest on ``hi``,
-    as computed: a mixture far from the boundary gives a weight of 0."""
+    sampler stage's, runs in about half ``where``'s time.  The gather runs
+    block by block, ``_GATHER_BLOCK`` points at a time, through one
+    block-sized index array, so a call allocates its ``(n,)`` output and
+    nothing else of size n.  Its law puts the mixture's mass below
+    ``boundary(t)`` on ``lo`` and the rest on ``hi``, as computed: a mixture
+    far from the boundary gives a weight of 0."""
+    atoms = np.array([hi, lo])
 
     def fn(x, t):
-        index = np.empty(x.shape, np.intp)
-        np.less(x, boundary(t), out=index, casting="unsafe")
-        return np.take([hi, lo], index)
+        b = boundary(t)
+        out = np.empty(x.shape)
+        index = np.empty(min(x.size, _GATHER_BLOCK), np.intp)
+        for start in range(0, x.size, _GATHER_BLOCK):
+            stop = min(start + _GATHER_BLOCK, x.size)
+            block = index[: stop - start]
+            np.less(x[start:stop], b, out=block, casting="unsafe")
+            # "clip" (the indices are 0 or 1): "raise" would buffer ``out``
+            np.take(atoms, block, out=out[start:stop], mode="clip")
+        return out
 
     def law(mixture, t):
         means, variances, weights = mixture

@@ -86,23 +86,39 @@ def _two_point_split(s: np.ndarray, quantiles: np.ndarray):
     return None
 
 
-def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
+def _coupling_w2(samples, quantiles: np.ndarray, out: np.ndarray) -> tuple[float, float]:
     """W2 against the target and its stderr proxy, from one sort.
 
     ``quantiles`` come from :func:`coupling_quantiles` for ``samples.size``.
     The first and last of them are the target quantiles at ``1/(2n)`` and
     ``1 - 1/(2n)``, the spread the proxy needs for one-valued samples.
+
+    ``out`` is the caller's work buffer: a writeable C-contiguous float64
+    ``(n,)`` array that shares no memory with ``samples`` or ``quantiles``
+    (any other raises :class:`NumericError`).  The samples are copied into
+    it and sorted there, and its contents afterwards are scratch.  So a run
+    that measures many stages of one size allocates one buffer for all of
+    them, and a stage's W2 allocates nothing of size n.
     """
-    s = np.sort(_flat_1d(samples, "samples"))
-    n = s.size
+    samples = _flat_1d(samples, "samples")
+    n = samples.size
     if n == 0:
         raise NumericError("need at least one sample")
     if quantiles.shape != (n,):
         raise NumericError(
             f"{quantiles.shape} coupling quantiles for {n} samples"
         )
-    split = _two_point_split(s, quantiles)
-    sq = np.subtract(s, quantiles, out=s)  # s is our own sorted copy
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (n,) and out.flags.c_contiguous and out.flags.writeable):
+        raise NumericError(
+            f"W2 buffer must be a writeable C-contiguous float64 ({n},) array"
+        )
+    if np.shares_memory(out, samples) or np.shares_memory(out, quantiles):
+        raise NumericError("W2 buffer shares memory with the samples or quantiles")
+    np.copyto(out, samples)
+    out.sort()
+    split = _two_point_split(out, quantiles)
+    sq = np.subtract(out, quantiles, out=out)
     sq *= sq
     w2_sq = float(np.mean(sq))
     w2 = math.sqrt(w2_sq)
@@ -112,7 +128,10 @@ def _coupling_w2(samples, quantiles: np.ndarray) -> tuple[float, float]:
         spread = max(p_hat * (1.0 - p_hat), (1.0 / n) * (1.0 - 1.0 / n))
         se_sq = gap_sq * float(np.sqrt(spread / n))
     else:
-        se_sq = float(np.std(sq) / np.sqrt(n))
+        # np.std(sq) in its own operation order, in place
+        sq -= w2_sq
+        sq *= sq
+        se_sq = math.sqrt(float(np.add.reduce(sq)) / n) / math.sqrt(n)
     if se_sq <= 0:
         return w2, 0.0
     # below the resolution scale sqrt(se_sq) the delta method blows up;
@@ -127,7 +146,8 @@ def w2_vs_target_1d(samples, target: Target) -> float:
     target quantile at level ``(k - 1/2) / n``, exact up to the O(1/n)
     quantile discretization.
     """
-    return _coupling_w2(samples, coupling_quantiles(target, np.size(samples)))[0]
+    n = np.size(samples)
+    return _coupling_w2(samples, coupling_quantiles(target, n), np.empty(n))[0]
 
 
 def w2_stderr_proxy(samples, target: Target) -> float:
@@ -140,7 +160,8 @@ def w2_stderr_proxy(samples, target: Target) -> float:
     driven by the same count.  Otherwise the squared quantile-coupling
     displacements are treated as i.i.d. terms.  A proxy, not a guarantee.
     """
-    return _coupling_w2(samples, coupling_quantiles(target, np.size(samples)))[1]
+    n = np.size(samples)
+    return _coupling_w2(samples, coupling_quantiles(target, n), np.empty(n))[1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -737,9 +737,10 @@ def test_stage_rows_match_public_w2(tmp_path, monkeypatch, command):
 
 
 def test_reproduce_sim_peak_memory(tmp_path, capsys):
-    # Each schedule's stages go to W2 one at a time: besides the coupling
-    # quantiles the run holds the noisy slab, one stage and its sorted copy,
-    # about 4 arrays of n floats.  Keeping every stage took 13.
+    # Each schedule's stages go to W2 one at a time: the run holds the
+    # coupling quantiles, the W2 buffer, the noisy slab and one stage, plus
+    # the threshold's block index, about 4.4 arrays of n floats at this n.
+    # Keeping every stage took 13.
     n = 200_000
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,47 @@ def test_threshold_gather_matches_where(make, t):
     for got in (f.fn(x, t), f(x, t)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_B = consistency_oracle._GATHER_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_threshold_block_gather_matches_where(n):
+    # Points straddle the boundary in every block, a NaN sits at each block
+    # edge and at the last point, and the law does not see the blocks.
+    boundary = 0.25
+    f = consistency_oracle._threshold_oracle(-1.0, 3.0, lambda t: boundary)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    x[::_B] = math.nan
+    x[_B - 1::_B] = math.nan
+    x[-1:] = math.nan
+    want = np.where(x < boundary, -1.0, 3.0)
+    got = f(x, 2.0)
+    assert got.shape == (n,) and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    means, variances, weights = np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.array([0.4, 0.6])
+    r = float(consistency_oracle._mixture_cdf_1d(boundary, means, np.sqrt(variances), weights))
+    atoms, zeros, masses = f.law((means, variances, weights), 2.0)
+    assert atoms.tolist() == [-1.0, 3.0] and zeros.tolist() == [0.0, 0.0]
+    assert masses.tolist() == [r, 1.0 - r]
+
+
+def test_threshold_oracle_allocates_only_its_output():
+    # The gather goes through one block-sized index, not an (n,) one.
+    n = 10**6
+    f = quantile_map(TWO_ATOM, OU)
+    x = np.random.default_rng(0).normal(20.0, 40.0, n)
+    f.fn(x, 1.0)  # solves and caches the boundary
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f.fn(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak <= 1.2 * 8 * n, f"{peak / (8 * n):.2f} arrays of n floats"
 
 
 @pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])

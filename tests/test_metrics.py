@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -175,7 +176,7 @@ def test_shared_coupling_matches_separate_solves(case):
     samples, target = _COUPLING_CASES[case]
     want = _separate_solves(samples, target)
     q = coupling_quantiles(target, np.size(samples))
-    assert _coupling_w2(samples, q) == want
+    assert _coupling_w2(samples, q, np.empty(q.size)) == want
     assert w2_vs_target_1d(samples, target) == want[0]
     assert w2_stderr_proxy(samples, target) == want[1]
 
@@ -236,7 +237,8 @@ _TWO_PASS_CASES = {
 def test_coupling_w2_matches_two_pass_body(case):
     samples = _TWO_PASS_CASES[case]
     q = coupling_quantiles(_GMM3, samples.size)
-    _assert_same_bits(_coupling_w2(samples, q), _coupling_w2_two_pass(samples, q))
+    got = _coupling_w2(samples, q, np.empty(q.size))
+    _assert_same_bits(got, _coupling_w2_two_pass(samples, q))
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,16 +254,71 @@ def test_coupling_w2_matches_two_pass_body(case):
 def test_coupling_w2_matches_two_pass_body_on_draws(values, target):
     samples = np.array(values)
     q = coupling_quantiles(target, samples.size)
-    _assert_same_bits(_coupling_w2(samples, q), _coupling_w2_two_pass(samples, q))
+    got = _coupling_w2(samples, q, np.empty(q.size))
+    _assert_same_bits(got, _coupling_w2_two_pass(samples, q))
+
+
+_ALLOC_N = 100_000
+_ALLOC_CASES = {
+    "continuous": np.random.default_rng(5).normal(50.0, 30.0, _ALLOC_N),
+    "two_valued": np.random.default_rng(6).choice([0.0, 100.0], _ALLOC_N),
+    "one_valued": np.full(_ALLOC_N, 100.0),
+    "nan": np.r_[np.random.default_rng(7).normal(size=_ALLOC_N - 1), _NAN],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALLOC_CASES))
+def test_coupling_w2_in_a_caller_buffer_allocates_nothing_n_sized(case):
+    samples = _ALLOC_CASES[case]
+    q = coupling_quantiles(TWO_ATOM, _ALLOC_N)
+    buffer = np.empty(_ALLOC_N)
+    want = _coupling_w2_two_pass(samples, q)
+    kept = samples.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _coupling_w2(samples, q, buffer)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    _assert_same_bits(got, want)
+    assert np.array_equal(samples, kept, equal_nan=True)
+    assert peak < 0.05 * 8 * _ALLOC_N, f"{peak / (8 * _ALLOC_N):.2f} arrays of n floats"
+
+
+def test_coupling_w2_refuses_a_bad_buffer():
+    samples = np.random.default_rng(8).normal(size=8)
+    q = coupling_quantiles(_GAUSS, 8)
+    slab = np.empty(16)
+    read_only = np.empty(8)
+    read_only.flags.writeable = False
+    bad = {
+        "short": np.empty(7),
+        "two_dim": np.empty((8, 1)),
+        "float32": np.empty(8, np.float32),
+        "strided": slab[::2],
+        "read_only": read_only,
+        "list": [0.0] * 8,
+        "is_samples": samples,
+        "is_quantiles": q,
+    }
+    for out in bad.values():
+        with pytest.raises(NumericError):
+            _coupling_w2(samples, q, out)
+    # a buffer that overlaps a view of the samples is refused too
+    joint = np.random.default_rng(9).normal(size=16)
+    with pytest.raises(NumericError, match="shares memory"):
+        _coupling_w2(joint[:8], coupling_quantiles(_GAUSS, 8), joint[4:12])
+    _assert_same_bits(_coupling_w2(samples, q, np.empty(8)), _coupling_w2_two_pass(samples, q))
 
 
 def test_coupling_quantiles_checks_sizes():
     with pytest.raises(NumericError):
         coupling_quantiles(TWO_ATOM, 0)
     with pytest.raises(NumericError):
-        _coupling_w2(np.zeros(10), coupling_quantiles(TWO_ATOM, 11))
+        _coupling_w2(np.zeros(10), coupling_quantiles(TWO_ATOM, 11), np.empty(10))
     with pytest.raises(NumericError):
-        _coupling_w2(np.zeros(0), coupling_quantiles(TWO_ATOM, 1))
+        _coupling_w2(np.zeros(0), coupling_quantiles(TWO_ATOM, 1), np.empty(0))
 
 
 # ---------------------------------------------------------------------------
