@@ -12,8 +12,9 @@ provides:
   probability-flow ODE in denoiser form, ``dy/dlam = (y - D(y, lam)) / lam``
   in ``y = x / alpha`` against ``lam = sigma / alpha`` (the same equation
   for every schedule), backward with RK4 on nodes uniform in
-  ``asinh(lam**(1/3))`` to the noise floor ``lam = 1e-6``, where it
-  returns the posterior mean ``D``;
+  ``asinh(lam_eff**(1/3))``, ``lam_eff = sqrt(lam**2 + v_min / 100)``, to
+  the noise floor ``lam = 1e-6``, where it returns the posterior mean
+  ``D``;
 * ``quantile_perturbed`` — a deliberately miscalibrated threshold estimator
   whose decision boundary sits at the ``w_lo + kappa * t**2`` quantile of
   the true marginal, giving a mean squared evaluation error of exactly
@@ -270,13 +271,18 @@ def pf_ode_transport(
     The ODE is autonomous in ``lam``, so only the two end levels matter:
     each is floored at ``1e-6``, so ``t = 0`` is reached as that noise
     level and a point on an atom stays on it.  The step nodes are uniform
-    in ``v = asinh(lam**(1/3))``, with ``ceil(|v_to - v_from| / step)``
-    steps, and the end nodes are the two end levels exactly.  ``v`` is
-    EDM's ``lam**(1/3)`` spacing near ``lam = 0`` (Karras et al.,
-    arXiv:2206.00364) and log spacing at large ``lam``.  The middle stages
-    sit at the midpoints in ``lam`` of each step.  Works in either time
-    direction.  Returns ``alpha(t_to) * y``, in the shape of ``x``: every
-    entry is a point.
+    in ``v = asinh(lam_eff**(1/3))``, with ``ceil(|v_to - v_from| / step)``
+    steps, and the end nodes are the two end levels exactly.  Here
+    ``lam_eff = sqrt(lam**2 + c)`` and ``c = v_min / 100`` for the smallest
+    component variance ``v_min`` of the target.  For atoms (``c = 0``)
+    ``v`` is EDM's ``lam**(1/3)`` spacing near ``lam = 0`` (Karras et al.,
+    arXiv:2206.00364), which follows the collapse onto the atoms.  A
+    mixture has no such collapse: below ``lam ~ sqrt(v_min) / 10`` its
+    noised law is the target's to 1% in variance, and there ``v`` is
+    nearly flat, so few steps go there.  At large ``lam`` ``v`` becomes log
+    spacing.  The middle stages sit at the midpoints in ``lam`` of each
+    step.  Works in either time direction.  Returns ``alpha(t_to) * y``, in
+    the shape of ``x``: every entry is a point.
     """
     step = _check_step(step)
     x = np.asarray(x, dtype=float)
@@ -287,7 +293,10 @@ def pf_ode_transport(
     ends = schedule.check_time([t_from, t_to])
     alphas = np.asarray(schedule.alpha(ends), dtype=float)
     ends_lam = np.maximum(schedule.sigma(ends) / alphas, _LAMBDA_FLOOR)
-    v_from, v_to = np.arcsinh(np.cbrt(ends_lam)).tolist()
+    # v = asinh(lam_eff**(1/3)) with lam_eff = sqrt(lam**2 + c), which is
+    # lam bit for bit for atoms (c = 0)
+    c = 0.01 * float(np.min(_noised_params(target, 1.0, 0.0)[1]))
+    v_from, v_to = np.arcsinh(np.cbrt(np.sqrt(ends_lam**2 + c))).tolist()
     span = abs(v_to - v_from) / step
     if not span <= _MAX_ODE_STEPS:  # NaN and inf included
         raise NumericError(
@@ -296,7 +305,11 @@ def pf_ode_transport(
         )
     n_steps = math.ceil(span)
     lams = np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3
-    lams[[0, -1]] = ends_lam  # the round trip through v is not exact
+    # Back to lam: the interior nodes lie strictly between the end levels,
+    # so lam_eff**2 > c there, and the end nodes are the end levels exactly,
+    # since the round trip through v is not exact.
+    lams[1:-1] = np.sqrt(lams[1:-1] ** 2 - c)
+    lams[[0, -1]] = ends_lam
     # Nodes and midpoints interleaved: the stages of step k sit at 2k, 2k+1
     # and 2k+2.
     nodes = np.empty(2 * n_steps + 1)
@@ -337,8 +350,9 @@ def pf_ode_consistency(
     """Consistency function computed by integrating the reverse ODE.
 
     :func:`pf_ode_transport`, with steps of at most ``step`` in ``v =
-    asinh(lam**(1/3))``, runs from ``t`` down to ``t = 0``, that is to the
-    noise floor ``lam = 1e-6``, and the output is the posterior mean there,
+    asinh(lam_eff**(1/3))``, ``lam_eff = sqrt(lam**2 + v_min / 100)``, runs
+    from ``t`` down to ``t = 0``, that is to the noise floor ``lam =
+    1e-6``, and the output is the posterior mean there,
 
         y + sum_k r_k (m_k - y) lam**2 / (v_k + lam**2),
 

@@ -462,7 +462,8 @@ def _mixture_quantiles_1d(means, variances, weights, u) -> np.ndarray:
     mixture parameters.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all((u > 0) & (u < 1)):
+    # min and max propagate NaN, which fails both comparisons
+    if u.size and not (u.min() > 0 and u.max() < 1):
         raise NumericError(f"quantile levels must lie strictly inside (0, 1), got {u!r}")
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
         raise NumericError("mixture quantiles need finite means and variances")

@@ -832,7 +832,7 @@ def test_experiment_on_2d_target_exits_3_before_sampling(
 _CSV_DIGESTS = {
     "bernoulli_ve_halving.csv": "0daed1a06e34be998f36d77d9282ca00d58bb3309c8bdeff02fff5003779777d",
     "gaussian_tv.csv": "1a5b0069438ed8bf4b56f44f880d94f45c9c80a6fe4f9675a689307c307ac939",
-    "pfode_gmm.csv": "aba3adbdf37db5ceef48416f9ad667448fa2670e12f11e545eb74b74c486144d",
+    "pfode_gmm.csv": "8e25e3c234ea827de20c68f834b9d69d6d4d560fa7bf6450a802d3d852dee53c",
     "reproduce_sim.csv": "85035550a6b72bf4476eb61173369b81ba15095703de3949d40acc1ccb7c4943",
     "unused.csv": "11de20e5394f51cf4d74ab6e8b6a37150efdb4303ad2bdcc25ef0972806b05bb",
 }

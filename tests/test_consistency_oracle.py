@@ -371,25 +371,81 @@ def _count_field_calls(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("t, step, schedule, n_steps", [
-    (4.0, 0.01, make_ve(), 124),
-    (1.0, 0.01, make_ve(), 88),
-    (14.0, 1e-3, OU, 5350),
-], ids=["ve4", "ve1", "ou14"])
-def test_pf_ode_takes_ceil_dv_over_step_rk4_steps(monkeypatch, t, step, schedule, n_steps):
-    # Steps uniform in v = asinh(lam**(1/3)): ceil(|dv| / step) of them,
-    # four field evaluations each, backward from t to the noise floor and
-    # forward from 0 to t.
+def _v(target, lam):
+    """The step variable ``asinh(lam_eff**(1/3))``, ``lam_eff = sqrt(lam**2
+    + v_min / 100)``, for the smallest component variance ``v_min``."""
+    v_min = float(np.min(_components(target)[1]))
+    return math.asinh(math.sqrt(lam * lam + 0.01 * v_min) ** (1 / 3))
+
+
+@pytest.mark.parametrize("target, t, step, schedule, n_steps", [
+    # the two stages of the PF-ODE benchmark job: 89 + 53 = 142 steps, 568
+    # field evaluations
+    ("bench", 4.0, 0.01, make_ve(), 89),
+    ("bench", 1.0, 0.01, make_ve(), 53),
+    ("gmm3", 4.0, 0.01, make_ve(), 88),
+    ("gmm3", 1.0, 0.01, make_ve(), 52),
+    ("gmm3", 14.0, 1e-3, OU, 4989),
+    ("atoms", 4.0, 0.01, make_ve(), 124),
+    ("atoms", 1.0, 0.01, make_ve(), 88),
+    ("atoms", 14.0, 1e-3, OU, 5350),
+], ids=["bench-ve4", "bench-ve1", "ve4", "ve1", "ou14", "atoms-ve4", "atoms-ve1",
+        "atoms-ou14"])
+def test_pf_ode_takes_ceil_dv_over_step_rk4_steps(
+    monkeypatch, target, t, step, schedule, n_steps
+):
+    # Steps uniform in v: ceil(|dv| / step) of them, four field evaluations
+    # each, backward from t to the noise floor and forward from 0 to t.  On
+    # the mixture v is nearly flat below lam ~ sqrt(v_min) / 10, so the
+    # steps no longer cluster at the noise floor as they do for atoms.
+    target = {"bench": _BENCH_GMM, "gmm3": _GMM3, "atoms": TWO_ATOM}[target]
     lam = float(_lambdas(schedule, [t])[0])
-    dv = math.asinh(lam ** (1 / 3)) - math.asinh(1e-6 ** (1 / 3))
+    dv = _v(target, lam) - _v(target, 1e-6)
     assert math.ceil(dv / step) == n_steps
     runs = _count_field_calls(monkeypatch)
     x = np.array([-1.0, 0.5, 2.0])
-    pf_ode_consistency(_GMM3, schedule, step)(x, t)
-    pf_ode_transport(_GMM3, schedule, x, 0.0, t, step)
+    pf_ode_consistency(target, schedule, step)(x, t)
+    pf_ode_transport(target, schedule, x, 0.0, t, step)
     assert len(runs) == 2
     for run in runs:
         assert run == {"nodes": 2 * n_steps + 1, "calls": 4 * n_steps}
+
+
+@pytest.mark.parametrize("t_from, t_to", [(4.0, 0.0), (0.0, 1.0), (14.0, 0.5)])
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_pf_ode_atom_nodes_are_uniform_in_cbrt_lam(monkeypatch, schedule, t_from, t_to):
+    # For atoms (v_min = 0) the nodes are sinh(v)**3 on a grid uniform in
+    # v = asinh(lam**(1/3)), with the two end levels pinned, bit for bit.
+    grids = []
+    make_field = consistency_oracle._pf_ode_field
+
+    def recording(target, lams):
+        grids.append(lams.copy())
+        return make_field(target, lams)
+
+    monkeypatch.setattr(consistency_oracle, "_pf_ode_field", recording)
+    pf_ode_transport(TWO_ATOM, schedule, np.array([0.0, 30.0]), t_from, t_to, 0.01)
+    ends = _lambdas(schedule, [t_from, t_to])
+    v_from, v_to = np.arcsinh(np.cbrt(ends))
+    n_steps = math.ceil(abs(v_to - v_from) / 0.01)
+    want = np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3
+    want[[0, -1]] = ends
+    (nodes,) = grids
+    assert n_steps > 10
+    np.testing.assert_array_equal(nodes[0::2], want)
+    np.testing.assert_array_equal(nodes[1::2], 0.5 * (want[:-1] + want[1:]))
+
+
+@pytest.mark.parametrize("step", [0.01, 1e-3])
+@pytest.mark.parametrize("schedule", [OU, make_ve()], ids=["ou", "ve"])
+def test_pf_ode_mixture_grid_takes_no_root_of_a_negative(schedule, step):
+    # To and from the noise floor, where lam_eff**2 - c is smallest: no
+    # invalid operation anywhere in building the grid or stepping on it.
+    x = np.array([-2.0, 0.1, 3.0])
+    with np.errstate(invalid="raise"):
+        for target in (_BENCH_GMM, _GMM3):
+            pf_ode_transport(target, schedule, x, 4.0, 0.0, step)
+            pf_ode_transport(target, schedule, x, 0.0, 4.0, step)
 
 
 def test_pf_ode_between_floored_levels_takes_no_step(monkeypatch):
@@ -495,12 +551,14 @@ def _allocating_field(target, lams):
 
 
 def _allocating_transport(target, schedule, x, t_from, t_to, step):
-    # Nodes uniform in v = asinh(lam**(1/3)) between the two end levels,
-    # which are pinned exactly.
+    # Nodes uniform in v = asinh(lam_eff**(1/3)), lam_eff = sqrt(lam**2 + c)
+    # with c = v_min / 100, mapped back by lam = sqrt(lam_eff**2 - c),
+    # between the two end levels, which are pinned exactly.
+    c = 0.01 * np.min(_components(target)[1])
     lam_from, lam_to = _lambdas(schedule, [t_from, t_to])
-    v_from, v_to = np.arcsinh(np.cbrt([lam_from, lam_to]))
+    v_from, v_to = np.arcsinh(np.cbrt(np.sqrt(np.array([lam_from, lam_to]) ** 2 + c)))
     n_steps = int(math.ceil(abs(v_to - v_from) / step))
-    lam = np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3
+    lam = np.sqrt((np.sinh(np.linspace(v_from, v_to, n_steps + 1)) ** 3) ** 2 - c)
     lam[0], lam[-1] = lam_from, lam_to
     nodes = np.empty(2 * n_steps + 1)
     nodes[0::2] = lam

@@ -257,6 +257,22 @@ def test_quantile_bracket_failure_raises():
         _mixture_quantiles_1d(np.zeros(2), np.array([1.0, np.inf]), np.full(2, 0.5), 0.3)
 
 
+@pytest.mark.parametrize("mixture", [
+    (np.array([0.0, 100.0]), np.zeros(2), np.full(2, 0.5)),
+    (np.array([1.0]), np.array([2.0]), np.array([1.0])),
+    (np.array([-4.0, 0.0, 3.0]), np.array([0.5, 1.0, 0.25]), np.array([0.3, 0.5, 0.2])),
+], ids=["atoms", "gaussian", "gmm"])
+def test_mixture_quantile_levels_must_lie_inside_the_unit_interval(mixture):
+    # NaN, 0 and 1 anywhere among the levels raise; no level is an empty
+    # array back, in every branch of the solver.
+    for bad in (np.nan, 0.0, 1.0):
+        for u in (bad, [0.5, bad], [bad, 0.25, 0.75]):
+            with pytest.raises(NumericError, match=r"strictly inside \(0, 1\)"):
+                _mixture_quantiles_1d(*mixture, u)
+    out = _mixture_quantiles_1d(*mixture, np.empty(0))
+    assert out.shape == (0,)
+
+
 def _bisection_quantiles(means, variances, weights, u):
     """The solver this package used before bracketed Newton: a mean plus or
     minus ten total standard deviations bracket, doubled until it holds
